@@ -1,6 +1,8 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same steps
-# as `make check`, in the same order, then the tracegate/chaosgate
-# determinism gates and the machine-readable bench artifact.
+# Developer entry points. `make check` and CI (.github/workflows/ci.yml) are
+# not yet the same list (ROADMAP item 5): both run build, vet, test, race,
+# lint, fastgate, mpgate, miggate and scalegate; CI additionally runs
+# lintgraph, tracegate, chaosgate, benchsmoke, benchdiff and the bench
+# artifact.
 
 GO ?= go
 
@@ -14,9 +16,9 @@ BENCHCOUNT ?= 5
 BENCHOUT ?= BENCH_pr10.json
 BENCHBASE ?= BENCH_pr7.json
 
-.PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke tracegate chaosgate mpgate miggate scalegate
+.PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke tracegate chaosgate fastgate mpgate miggate scalegate
 
-check: build vet test race lint mpgate miggate scalegate
+check: build vet test race lint fastgate mpgate miggate scalegate
 
 build:
 	$(GO) build ./...
@@ -71,6 +73,13 @@ tracegate:
 	cmp $$dir/a.json $$dir/b.json && cmp $$dir/am.json $$dir/bm.json && \
 	echo "tracegate: E10 exports byte-identical across same-seed runs"; \
 	rc=$$?; rm -rf $$dir; exit $$rc
+
+# fastgate is the receive-path equivalence gate: E12 boots the same seeded
+# world on the kernel and on the reference kernel (full demux walk, unfused
+# delivery) and requires identical outputs (mpegbench exits non-zero on a
+# mismatch).
+fastgate:
+	$(GO) run ./cmd/mpegbench -run e12 -e12-smoke
 
 # mpgate is the multipath determinism gate: two same-seed E13 smoke runs
 # (the full k x policy grid with a mid-run link fault) must print

@@ -1,8 +1,8 @@
-// Burst-mode gates: batch classification must agree frame-for-frame with
-// the reference walk (it may share, it may not lie), in-burst sharing must
-// die the instant a control-plane change lands mid-burst, and burst mode end
-// to end must charge exactly what per-frame mode charges. E12 in mpegbench
-// is the seeded 2x2 counterpart.
+// Burst gates: batch classification must agree frame-for-frame with the
+// reference walk (it may share, it may not lie), in-burst sharing must die
+// the instant a control-plane change lands mid-burst, and a burst end to end
+// must charge exactly what its frames handed over one at a time charge. E12
+// in mpegbench is the seeded whole-kernel counterpart.
 package scout_test
 
 import (
@@ -156,12 +156,11 @@ func TestClassifyBurstAllocFree(t *testing.T) {
 
 // burstWorld boots a kernel on a link so fast that back-to-back frames
 // arrive at the same instant, with a traffic source device attached.
-func burstWorld(t *testing.T, coalesce bool) (*appliance.Kernel, *netdev.Device) {
+func burstWorld(t *testing.T) (*appliance.Kernel, *netdev.Device) {
 	t.Helper()
 	eng := sim.New(5)
 	link := netdev.NewLink(eng, netdev.LinkConfig{BitsPerSec: 1 << 60})
 	cfg := appliance.DefaultConfig()
-	cfg.CoalesceRx = coalesce
 	cfg.Tracing = true
 	k, err := appliance.Boot(eng, link, cfg)
 	if err != nil {
@@ -202,11 +201,10 @@ func sendBurst(sender *netdev.Device, k *appliance.Kernel, tmpl []byte, n int, s
 	}
 }
 
-// TestBurstTraceSpansPerFrame: a multi-frame coalesced burst must still
-// produce one queue observation per frame — spans nest per frame, never per
-// burst.
+// TestBurstTraceSpansPerFrame: a multi-frame burst must still produce one
+// queue observation per frame — spans nest per frame, never per burst.
 func TestBurstTraceSpansPerFrame(t *testing.T) {
-	k, sender := burstWorld(t, true)
+	k, sender := burstWorld(t)
 	p, tmpl := videoPathAndFrames(t, k)
 
 	const n = 12
@@ -234,8 +232,10 @@ func TestBurstTraceSpansPerFrame(t *testing.T) {
 }
 
 // TestBurstEndToEndEquivalence streams dense same-instant bursts through two
-// kernels differing only in CoalesceRx and requires identical virtual-time
-// charges: burst mode changes which host code runs, never an outcome.
+// kernels, one of which has its burst handler wrapped to take each burst one
+// frame at a time (so nothing is ever shared in-burst), and requires
+// identical virtual-time charges: a burst is its frames in order, and the
+// memo changes which host code runs, never an outcome.
 func TestBurstEndToEndEquivalence(t *testing.T) {
 	type outcome struct {
 		cpu      time.Duration
@@ -244,11 +244,19 @@ func TestBurstEndToEndEquivalence(t *testing.T) {
 		rxFrames int64
 		end      sim.Time
 	}
-	run := func(coalesce bool) outcome {
-		k, sender := burstWorld(t, coalesce)
+	run := func(frameAtATime bool) outcome {
+		k, sender := burstWorld(t)
+		if frameAtATime {
+			rxb := k.Dev.OnReceiveBurst
+			k.Dev.OnReceiveBurst = func(frames []*msg.Msg) {
+				for i := range frames {
+					rxb(frames[i : i+1])
+				}
+			}
+		}
 		p, tmpl := videoPathAndFrames(t, k)
 		var seq uint32
-		// Three bursts at distinct instants, each dense enough to coalesce.
+		// Three bursts at distinct instants, 24 same-instant frames each.
 		for i := 0; i < 3; i++ {
 			k.Eng.At(sim.Time(time.Duration(i)*time.Millisecond), func() {
 				sendBurst(sender, k, tmpl, 24, &seq)
@@ -264,9 +272,9 @@ func TestBurstEndToEndEquivalence(t *testing.T) {
 			end:      k.Eng.Now(),
 		}
 	}
-	burst, plain := run(true), run(false)
+	burst, plain := run(false), run(true)
 	if burst != plain {
-		t.Fatalf("burst mode diverges from per-frame mode:\nburst: %+v\nplain: %+v", burst, plain)
+		t.Fatalf("a burst diverges from its frames taken one at a time:\nburst: %+v\nplain: %+v", burst, plain)
 	}
 	if burst.rxFrames != 72 {
 		t.Fatalf("delivered %d frames, want 72", burst.rxFrames)
@@ -277,7 +285,7 @@ func TestBurstEndToEndEquivalence(t *testing.T) {
 // receive path resolves once and shares — the flow cache sees one lookup
 // run, not one per frame.
 func TestBurstReceiveSharesResolution(t *testing.T) {
-	k, sender := burstWorld(t, true)
+	k, sender := burstWorld(t)
 	_, tmpl := videoPathAndFrames(t, k)
 
 	// Warm: first burst pays one miss (walk + insert); the rest share.

@@ -14,7 +14,7 @@
 //	mpegbench -run overload -overload-smoke
 //	                           # CI-sized E11 (short clip, one overcommit)
 //	mpegbench -run e12 -e12-smoke
-//	                           # fast-path differential at CI size
+//	                           # kernel vs reference kernel at CI size
 //	mpegbench -run e13 -e13-smoke
 //	                           # multipath policy grid at CI size
 //	mpegbench -run e14 -e14-smoke

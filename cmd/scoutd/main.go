@@ -36,7 +36,6 @@ func main() {
 	prio := flag.Int("prio", 2, "RR priority when -sched rr")
 	qlen := flag.Int("qlen", 32, "path queue length")
 	maxRate := flag.Bool("maxrate", false, "stream at maximum rate instead of the clip frame rate")
-	coalesce := flag.Bool("coalesce", false, "coalesce same-instant receive interrupts into bursts")
 	flag.Parse()
 
 	clip, ok := mpeg.ClipByName(*clipName)
@@ -54,7 +53,6 @@ func main() {
 	if *maxRate {
 		cfg.RefreshHz = 2000
 	}
-	cfg.CoalesceRx = *coalesce
 	k, err := appliance.Boot(eng, link, cfg)
 	if err != nil {
 		log.Fatal(err)

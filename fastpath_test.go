@@ -102,7 +102,7 @@ func TestFlowCacheDifferential(t *testing.T) {
 // TestFlowCacheDifferentialUnderCorruption repeats the differential check on
 // frames that crossed a real link with an adversarial fault plan: corruption
 // (a flipped byte past the Ethernet header), duplication and reordering. The
-// device's receive hook is replaced by the checker, so every delivered frame
+// device's burst handler is replaced by the checker, so every delivered frame
 // — damaged or not — is classified both ways.
 func TestFlowCacheDifferentialUnderCorruption(t *testing.T) {
 	k, err := exp.NewMicroKernel()
@@ -119,9 +119,11 @@ func TestFlowCacheDifferentialUnderCorruption(t *testing.T) {
 	sender := netdev.NewDevice(k.Link, netdev.MAC{2, 0, 0, 0, 0, 0x77}, nil)
 
 	seen := 0
-	k.Dev.OnReceive = func(m *msg.Msg) {
-		seen++
-		diffClassify(t, k, m)
+	k.Dev.OnReceiveBurst = func(frames []*msg.Msg) {
+		for _, m := range frames {
+			seen++
+			diffClassify(t, k, m)
+		}
 	}
 	for i := 0; i < 500; i++ {
 		f := make([]byte, len(template))

@@ -59,21 +59,6 @@ type Config struct {
 	// when off, data-path code pays only nil checks.
 	Tracing bool
 
-	// NoFastPath is the fast-path kill switch: it disables both the
-	// device-edge flow cache (every frame pays the full demux walk) and
-	// path fusion (every hop pays dynamic dispatch and full revalidation).
-	// The differential experiments (E12) boot one kernel each way and
-	// require identical outputs.
-	NoFastPath bool
-
-	// CoalesceRx enables receive-interrupt mitigation on the NIC: frames
-	// arriving at the same virtual instant share one scheduler interrupt
-	// entry (charging the summed IRQ cost) and are classified as a batch by
-	// the ETH driver's burst classifier. Like NoFastPath, the switch changes
-	// which host code runs, never an outcome: E12 gates burst mode on
-	// byte-identical virtual-time outputs against the per-frame reference.
-	CoalesceRx bool
-
 	// StarveAfter is the watchdog's runnable-to-dispatch latency beyond
 	// which a thread without a deadline counts as starving (default 50ms;
 	// < 0 disables starvation detection).
@@ -107,11 +92,11 @@ func DefaultConfig() Config {
 
 // Kernel is a booted Scout appliance.
 type Kernel struct {
-	Cfg   Config
-	Eng   *sim.Engine
-	CPU   *sched.Sched
-	Dev   *netdev.Device
-	Link  *netdev.Link
+	Cfg  Config
+	Eng  *sim.Engine
+	CPU  *sched.Sched
+	Dev  *netdev.Device
+	Link *netdev.Link
 	// Devs and Links list every NIC/wire in link order; index 0 is
 	// Dev/Link. ETHs are the matching ETH router implementations.
 	Devs  []*netdev.Device
@@ -144,6 +129,19 @@ type Kernel struct {
 
 // Boot builds and initializes a kernel attached to link.
 func Boot(eng *sim.Engine, link *netdev.Link, cfg Config) (*Kernel, error) {
+	return boot(eng, link, cfg, false)
+}
+
+// BootReference boots the reference kernel: no device-edge flow cache (every
+// frame pays the full demux walk) and no path fusion (every hop pays dynamic
+// dispatch and full revalidation). It is the oracle the differential
+// experiments (E12, E14) and tests hold the real kernel to — same seeded
+// world, outputs identical to the nanosecond — and nothing else boots it.
+func BootReference(eng *sim.Engine, link *netdev.Link, cfg Config) (*Kernel, error) {
+	return boot(eng, link, cfg, true)
+}
+
+func boot(eng *sim.Engine, link *netdev.Link, cfg Config, reference bool) (*Kernel, error) {
 	if cfg.ShellPort == 0 {
 		cfg.ShellPort = 5001
 	}
@@ -190,7 +188,6 @@ func Boot(eng *sim.Engine, link *netdev.Link, cfg Config) (*Kernel, error) {
 
 	k.Dev = netdev.NewDevice(link, cfg.MAC, k.CPU)
 	k.Dev.RxIRQCost = cfg.RxIRQCost
-	k.Dev.CoalesceRx = cfg.CoalesceRx
 	k.Links = []*netdev.Link{link}
 	k.Devs = []*netdev.Device{k.Dev}
 	for i, l := range cfg.ExtraLinks {
@@ -198,7 +195,6 @@ func Boot(eng *sim.Engine, link *netdev.Link, cfg Config) (*Kernel, error) {
 		mac[5] += byte(i + 1) // per-NIC MAC; hosts on the wire use distinct bases
 		d := netdev.NewDevice(l, mac, k.CPU)
 		d.RxIRQCost = cfg.RxIRQCost
-		d.CoalesceRx = cfg.CoalesceRx
 		k.Links = append(k.Links, l)
 		k.Devs = append(k.Devs, d)
 	}
@@ -217,11 +213,6 @@ func Boot(eng *sim.Engine, link *netdev.Link, cfg Config) (*Kernel, error) {
 	for _, d := range k.Devs[1:] {
 		k.ETHs = append(k.ETHs, eth.New(d))
 	}
-	if cfg.NoFastPath {
-		for _, e := range k.ETHs {
-			e.FlowCacheCap = -1 // no flow cache on this NIC
-		}
-	}
 	k.ARP = arp.New(cfg.Addr, k.CPU)
 	k.IP = ip.New(ip.Config{Addr: cfg.Addr, Mask: cfg.Mask, Gateway: cfg.Gateway}, k.CPU)
 	k.UDP = udp.New()
@@ -236,8 +227,11 @@ func Boot(eng *sim.Engine, link *netdev.Link, cfg Config) (*Kernel, error) {
 
 	g := core.NewGraph()
 	k.Graph = g
-	if cfg.NoFastPath {
+	if reference {
 		g.SetFuse(false)
+		for _, e := range k.ETHs {
+			e.FlowCacheCap = -1 // no flow cache on this NIC
+		}
 	}
 	rETH := g.Add("ETH", k.ETH)
 	rETHs := []*core.Router{rETH}

@@ -90,11 +90,6 @@ const (
 	// MPEGGOP is the clip's group-of-pictures length, which the degradation
 	// ladder needs to rank P frames by GOP position. Value: int (default 15).
 	MPEGGOP Name = "PA_MPEG_GOP"
-	// NoFuse opts the path out of the delivery-fusion phase of CreatePath,
-	// keeping per-hop dynamic dispatch; the differential fast-path tests use
-	// it to prove fused and unfused delivery are behaviour-identical.
-	// Value: bool.
-	NoFuse Name = "PA_NO_FUSE"
 	// MPathLink selects which parallel down link (NIC) a multipath subpath
 	// runs over: IP routes the path through its i-th "down" ETH service link
 	// and resolves next hops through that link's ARP state. Value: int

@@ -193,7 +193,9 @@ func (fc *FlowCache) compact() {
 // InvalidatePath removes every entry bound to p (its destroy hook calls
 // this; it is also safe to call directly). The generation advances even when
 // no entry matches: the hook can fire after the path's entries were evicted
-// for capacity, and a burst memo may still hold the binding.
+// for capacity, and a burst memo may still hold the binding. A path leaves
+// hooked only when it dies: a live path keeps its one destroy hook, so
+// forgetting it here would make the next Insert install another.
 func (fc *FlowCache) InvalidatePath(p *Path) {
 	for k, e := range fc.entries {
 		if e.path == p {
@@ -201,7 +203,9 @@ func (fc *FlowCache) InvalidatePath(p *Path) {
 			fc.stats.Invalidations++
 		}
 	}
-	delete(fc.hooked, p)
+	if p.Dead() {
+		delete(fc.hooked, p)
+	}
 	fc.gen++
 }
 
@@ -217,7 +221,6 @@ func (fc *FlowCache) InvalidateAll() {
 	}
 	fc.stats.Invalidations += int64(n)
 	clear(fc.entries)
-	clear(fc.hooked)
 	fc.order = fc.order[:0]
 }
 

@@ -121,6 +121,41 @@ func TestFlowCacheDestroyHookInvalidates(t *testing.T) {
 	conserved(t, fc)
 }
 
+// TestFlowCacheOneHookPerLivePath is the regression test for the destroy-hook
+// leak: InvalidateAll (every UDP bind/unbind and ARP learn) and a direct
+// InvalidatePath (splice, multipath re-pin) used to forget that a still-live
+// path carried the cache's hook, so the next Insert appended another — a
+// long-lived path beside control-plane churn grew one closure per round and
+// its Destroy ran InvalidatePath that many times.
+func TestFlowCacheOneHookPerLivePath(t *testing.T) {
+	fc := NewFlowCache(4)
+	p := &Path{}
+	for round := 0; round < 1000; round++ {
+		fc.Insert(fkey(1), p)
+		if round%2 == 0 {
+			fc.InvalidateAll()
+		} else {
+			fc.InvalidatePath(p)
+		}
+	}
+	fc.Insert(fkey(1), p)
+	if n := len(p.onDestroy); n != 1 {
+		t.Fatalf("live path carries %d destroy hooks after 1000 invalidate+insert rounds, want 1", n)
+	}
+	gen := fc.Gen()
+	p.Destroy()
+	if got := fc.Gen() - gen; got != 1 {
+		t.Errorf("Destroy ran InvalidatePath %d times, want 1", got)
+	}
+	if _, hit := fc.Lookup(fkey(1)); hit {
+		t.Error("destroyed path still cached")
+	}
+	if len(fc.hooked) != 0 {
+		t.Errorf("dead path still in hooked (%d entries)", len(fc.hooked))
+	}
+	conserved(t, fc)
+}
+
 // TestFlowCacheEvictionStaleAndDuplicateSlots drives evictOldest through an
 // order slate full of stale and superseded slots.
 func TestFlowCacheEvictionStaleAndDuplicateSlots(t *testing.T) {

@@ -353,7 +353,7 @@ func (g *Graph) CreatePath(r *Router, a *attr.Attrs) (*Path, error) {
 	// stages install specialized Deliver implementations. It runs before the
 	// transformation rules so rules (and later the tracing and chaos
 	// subsystems) wrap the fused pointers.
-	if !g.noFuse && !a.BoolDefault(attr.NoFuse, false) {
+	if !g.noFuse {
 		p.fuse()
 	}
 

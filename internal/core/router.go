@@ -143,8 +143,8 @@ type Graph struct {
 	// changes, demux-table updates, route learning) calls InvalidateFlows so
 	// no cache can serve a stale decision.
 	flowCaches []*FlowCache
-	// noFuse disables the path-fusion phase of CreatePath; fusion is on by
-	// default and individually suppressible per path via attr.NoFuse.
+	// noFuse disables the path-fusion phase of CreatePath; only the
+	// reference kernel sets it.
 	noFuse bool
 }
 
@@ -172,12 +172,10 @@ func (g *Graph) InvalidateFlows() {
 }
 
 // SetFuse enables or disables the path-fusion phase for subsequently created
-// paths (it is on by default). Experiments use the off position to prove the
-// fused chain is behaviour-identical to per-hop dispatch.
+// paths (it is on by default). The reference kernel (appliance.BootReference)
+// uses the off position: unfused per-hop dispatch is the oracle that proves
+// the fused chain behaviour-identical.
 func (g *Graph) SetFuse(on bool) { g.noFuse = !on }
-
-// FuseEnabled reports whether new paths will be fused.
-func (g *Graph) FuseEnabled() bool { return !g.noFuse }
 
 // Add creates a router named name implemented by impl. Names must be unique
 // within the graph.

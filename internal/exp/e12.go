@@ -13,16 +13,16 @@ import (
 	"scout/internal/sim"
 )
 
-// E12: fast-path equivalence and effectiveness. The fast-path engine — the
-// device-edge flow cache, fused path delivery, and the zero-alloc data path —
-// must change *which host code* computes each result, never the result: every
-// virtual-time charge is identical on a cache hit and a miss, and a fused
-// stage charges exactly what its unfused original would. This experiment
-// boots the same seeded world four times — {fast path on, NoFastPath kill
-// switch} x {per-frame interrupts, CoalesceRx burst mode} — streams the
-// same clip under ICMP background noise (traffic the cache must *not*
-// claim), creates and destroys a second path mid-stream (a control-plane
-// change that invalidates the cache), and requires all four runs to agree on every output — displayed and
+// E12: receive-path equivalence and effectiveness. The device-edge flow
+// cache, the in-burst memo and fused path delivery must change *which host
+// code* computes each result, never the result: every virtual-time charge is
+// identical on a cache hit and a miss, and a fused stage charges exactly what
+// its unfused original would. This experiment boots the same seeded world
+// twice — the kernel, and the reference kernel (appliance.BootReference: full
+// demux walk per frame, unfused delivery) — streams the same clip under ICMP
+// background noise (traffic the cache must *not* claim), creates and destroys
+// a second path mid-stream (a control-plane change that invalidates the
+// cache), and requires both runs to agree on every output — displayed and
 // complete frames, packets delivered, the path's charged CPU, and the virtual
 // completion instant, to the nanosecond.
 
@@ -51,12 +51,9 @@ func SmokeE12Config() E12Config {
 	return E12Config{Frames: 150, FloodDepth: 2}
 }
 
-// E12Cell is one variant's outputs plus its fast-path counters.
+// E12Cell is one kernel's outputs plus its receive-path counters.
 type E12Cell struct {
-	FastPath bool
-	Burst    bool
-
-	// Outputs that must match between variants.
+	// Outputs that must match between the two kernels.
 	Displayed  int64
 	CompleteI  int64
 	CompleteP  int64
@@ -64,7 +61,7 @@ type E12Cell struct {
 	EndNs      int64 // virtual instant the last frame displayed
 	PingEchoes int64 // ICMP replies the flooding host got back
 
-	// Fast-path effectiveness counters (zero when disabled).
+	// Flow-cache and fusion counters (zero on the reference kernel).
 	FlowHits          int64
 	FlowMisses        int64
 	FlowInserts       int64
@@ -72,20 +69,17 @@ type E12Cell struct {
 	NoPathDrops       int64
 	Fused             bool
 
-	// Burst effectiveness counters (zero when CoalesceRx is off).
-	RxBursts    int64 // coalesced interrupt entries drained
+	// Burst counters.
+	RxBursts    int64 // receive interrupt entries
 	BurstFrames int64 // frames those entries carried
 	BurstShared int64 // frames resolved by in-burst sharing, no cache lookup
 }
 
-// E12Result holds the 2×2 variant grid: {fast path on, off} × {burst
-// coalescing on, off}. Slow (both off) is the reference.
+// E12Result holds the kernel's run and the reference kernel's.
 type E12Result struct {
-	Cfg       E12Config
-	Fast      E12Cell
-	Slow      E12Cell
-	FastBurst E12Cell
-	SlowBurst E12Cell
+	Cfg  E12Config
+	Fast E12Cell
+	Ref  E12Cell
 }
 
 // sameOutputs reports whether two cells agree on every gated output.
@@ -96,33 +90,29 @@ func sameOutputs(a, b E12Cell) bool {
 		a.PingEchoes == b.PingEchoes
 }
 
-// Match reports whether all four variants produced identical outputs.
-func (r E12Result) Match() bool {
-	return sameOutputs(r.Fast, r.Slow) &&
-		sameOutputs(r.FastBurst, r.Slow) &&
-		sameOutputs(r.SlowBurst, r.Slow)
-}
+// Match reports whether the kernel agrees with the reference on every output.
+func (r E12Result) Match() bool { return sameOutputs(r.Fast, r.Ref) }
 
-// RunE12 runs all four variants from the same seed.
+// RunE12 runs both kernels from the same seed.
 func RunE12(cfg E12Config) E12Result {
 	cfg = cfg.withDefaults()
 	return E12Result{
-		Cfg:       cfg,
-		Fast:      runE12Variant(cfg, true, false),
-		Slow:      runE12Variant(cfg, false, false),
-		FastBurst: runE12Variant(cfg, true, true),
-		SlowBurst: runE12Variant(cfg, false, true),
+		Cfg:  cfg,
+		Fast: runE12Kernel(cfg, appliance.Boot),
+		Ref:  runE12Kernel(cfg, appliance.BootReference),
 	}
 }
 
-func runE12Variant(cfg E12Config, fast, burst bool) E12Cell {
+// bootFunc is appliance.Boot or appliance.BootReference.
+type bootFunc func(*sim.Engine, *netdev.Link, appliance.Config) (*appliance.Kernel, error)
+
+func runE12Kernel(cfg E12Config, boot bootFunc) E12Cell {
 	// E12 runs the standard world plus link jitter: the link's monotone
 	// delivery clamp turns any jittered arrival that would overtake its
-	// predecessor into a same-instant arrival, so the coalesced variants see
-	// real multi-frame bursts (video and ICMP frames interleaved) instead of
-	// the size-1 bursts a jitterless serial link produces. The jitter draws
-	// come from the world seed, so all four variants see identical wire
-	// timing.
+	// predecessor into a same-instant arrival, so the device sees real
+	// multi-frame bursts (video and ICMP frames interleaved) instead of the
+	// size-1 bursts a jitterless serial link produces. The jitter draws come
+	// from the world seed, so both kernels see identical wire timing.
 	eng := sim.New(cfg.Seed)
 	link := netdev.NewLink(eng, netdev.LinkConfig{
 		BitsPerSec: linkBps,
@@ -132,9 +122,7 @@ func runE12Variant(cfg E12Config, fast, burst bool) E12Cell {
 	bcfg := appliance.DefaultConfig()
 	bcfg.MAC, bcfg.Addr = scoutMAC, scoutAddr
 	bcfg.RefreshHz = 2000
-	bcfg.NoFastPath = !fast
-	bcfg.CoalesceRx = burst
-	k, err := appliance.Boot(eng, link, bcfg)
+	k, err := boot(eng, link, bcfg)
 	if err != nil {
 		panic(err)
 	}
@@ -194,8 +182,6 @@ func runE12Variant(cfg E12Config, fast, burst bool) E12Cell {
 	})
 
 	cell := E12Cell{
-		FastPath:    fast,
-		Burst:       burst,
 		Displayed:   sink.Displayed(),
 		PathCPUNs:   int64(p.CPUTime()),
 		EndNs:       int64(end),
@@ -223,26 +209,17 @@ func PrintE12(w io.Writer, res E12Result) {
 	if frames == 0 {
 		frames = mpeg.Neptune.Frames
 	}
-	fprintf(w, "E12: fast-path differential (Neptune %d frames + ICMP flood depth %d, seed %d)\n",
+	fprintf(w, "E12: receive-path differential (Neptune %d frames + ICMP flood depth %d, seed %d)\n",
 		frames, cfg.FloodDepth, cfg.Seed)
 	fprintf(w, "%-13s %9s %6s %6s %8s %14s %14s\n",
-		"VARIANT", "DISPLAYED", "I-OK", "P-OK", "ECHOES", "PATH-CPU", "END")
-	row := func(c E12Cell) {
-		name := "fast"
-		if !c.FastPath {
-			name = "nofast"
-		}
-		if c.Burst {
-			name += "+burst"
-		}
+		"KERNEL", "DISPLAYED", "I-OK", "P-OK", "ECHOES", "PATH-CPU", "END")
+	row := func(name string, c E12Cell) {
 		fprintf(w, "%-13s %9d %6d %6d %8d %14v %14v\n",
 			name, c.Displayed, c.CompleteI, c.CompleteP, c.PingEchoes,
 			time.Duration(c.PathCPUNs), time.Duration(c.EndNs))
 	}
-	row(res.Fast)
-	row(res.FastBurst)
-	row(res.Slow)
-	row(res.SlowBurst)
+	row("fast", res.Fast)
+	row("reference", res.Ref)
 	f := res.Fast
 	hitPct := 0.0
 	if f.FlowHits+f.FlowMisses > 0 {
@@ -250,22 +227,21 @@ func PrintE12(w io.Writer, res E12Result) {
 	}
 	fprintf(w, "flow cache: %d hits / %d misses (%.1f%% hit rate), %d inserts, %d invalidations; fused=%v\n",
 		f.FlowHits, f.FlowMisses, hitPct, f.FlowInserts, f.FlowInvalidations, f.Fused)
-	fb := res.FastBurst
-	coalesce := 0.0
-	if fb.RxBursts > 0 {
-		coalesce = float64(fb.BurstFrames) / float64(fb.RxBursts)
+	perEntry := 0.0
+	if f.RxBursts > 0 {
+		perEntry = float64(f.BurstFrames) / float64(f.RxBursts)
 	}
 	fprintf(w, "burst: %d interrupt entries carried %d frames (%.2f frames/entry), %d frames shared an in-burst resolution\n",
-		fb.RxBursts, fb.BurstFrames, coalesce, fb.BurstShared)
-	fprintf(w, "no-path drops: fast=%d nofast=%d\n", f.NoPathDrops, res.Slow.NoPathDrops)
+		f.RxBursts, f.BurstFrames, perEntry, f.BurstShared)
+	fprintf(w, "no-path drops: fast=%d reference=%d\n", f.NoPathDrops, res.Ref.NoPathDrops)
 	if res.Match() {
-		fprintf(w, "MATCH: outputs identical across {fast,nofast} x {burst,per-frame}\n")
+		fprintf(w, "MATCH: outputs identical to the reference kernel\n")
 	} else {
-		fprintf(w, "MISMATCH: variant outputs diverge from the reference run\n")
+		fprintf(w, "MISMATCH: outputs diverge from the reference kernel\n")
 	}
-	fprintf(w, "\nreading: the engine only changes which host code classifies and delivers\n")
-	fprintf(w, "each frame — every virtual-time charge is the same on a hit and a miss,\n")
-	fprintf(w, "and a coalesced burst charges exactly the sum of its per-frame costs —\n")
-	fprintf(w, "so all four runs agree to the nanosecond while the fast runs resolve most\n")
+	fprintf(w, "\nreading: the cache, the burst memo and fusion only change which host code\n")
+	fprintf(w, "classifies and delivers each frame — every virtual-time charge is the same\n")
+	fprintf(w, "on a hit and a miss, and a burst charges exactly the sum of its per-frame\n")
+	fprintf(w, "costs — so both runs agree to the nanosecond while the kernel resolves most\n")
 	fprintf(w, "frames in one flow-cache lookup instead of a three-router demux walk.\n")
 }

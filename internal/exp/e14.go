@@ -26,10 +26,10 @@ import (
 // repairs the packets the dead link swallowed. The gate: exactly one
 // migration within a bounded number of virtual milliseconds, every frame
 // displayed complete (zero incomplete), zero packets abandoned, the path's
-// conservation audit clean before and after destroy — and, E12-style, all
-// four {fast,nofast} × {burst,per-frame} variants byte-identical on every
-// output, which is also what proves a stale burst memo from the retired
-// device can never deliver post-migration.
+// conservation audit clean before and after destroy — and, E12-style, the
+// kernel and the reference kernel byte-identical on every output, which is
+// also what proves a stale burst memo from the retired device can never
+// deliver post-migration.
 
 // E14Config parameterizes the migration experiment.
 type E14Config struct {
@@ -70,25 +70,22 @@ func (c E14Config) withDefaults() E14Config {
 	return c
 }
 
-// SmokeE14Config is the CI-sized configuration (short clip, same grid).
+// SmokeE14Config is the CI-sized configuration (short clip).
 func SmokeE14Config() E14Config {
 	return E14Config{Frames: 150}
 }
 
-// E14Cell is one variant's outputs plus its migration facts.
+// E14Cell is one kernel's outputs plus its migration facts.
 type E14Cell struct {
-	FastPath bool
-	Burst    bool
-
-	// Outputs that must match across the 2×2 variant grid.
-	Total      int64
-	Displayed  int64
-	CompleteI  int64
-	CompleteP  int64
-	Incomplete int64 // clip frames that did not arrive whole: must be 0
-	PathCPUNs  int64
-	EndNs      int64 // virtual instant the last frame displayed
-	Migrations int
+	// Outputs that must match between the kernel and the reference.
+	Total       int64
+	Displayed   int64
+	CompleteI   int64
+	CompleteP   int64
+	Incomplete  int64 // clip frames that did not arrive whole: must be 0
+	PathCPUNs   int64
+	EndNs       int64 // virtual instant the last frame displayed
+	Migrations  int
 	MigrateAtNs int64 // virtual instant the path resumed on the new NIC
 
 	// Per-cell facts (printed, gated where noted).
@@ -103,13 +100,11 @@ type E14Cell struct {
 	AuditViolations  []string
 }
 
-// E14Result holds the 2×2 variant grid; Slow (both off) is the reference.
+// E14Result holds the kernel's run and the reference kernel's.
 type E14Result struct {
-	Cfg       E14Config
-	Fast      E14Cell
-	Slow      E14Cell
-	FastBurst E14Cell
-	SlowBurst E14Cell
+	Cfg  E14Config
+	Fast E14Cell
+	Ref  E14Cell
 }
 
 // sameE14Outputs reports whether two cells agree on every gated output.
@@ -121,19 +116,15 @@ func sameE14Outputs(a, b E14Cell) bool {
 		a.Migrations == b.Migrations && a.MigrateAtNs == b.MigrateAtNs
 }
 
-// Match reports whether all four variants produced identical outputs.
-func (r E14Result) Match() bool {
-	return sameE14Outputs(r.Fast, r.Slow) &&
-		sameE14Outputs(r.FastBurst, r.Slow) &&
-		sameE14Outputs(r.SlowBurst, r.Slow)
-}
+// Match reports whether the kernel agrees with the reference on every output.
+func (r E14Result) Match() bool { return sameE14Outputs(r.Fast, r.Ref) }
 
-// Ok reports whether the migration gate holds in every variant: exactly one
+// Ok reports whether the migration gate holds on both kernels: exactly one
 // migration, within budget, every frame displayed complete, nothing
-// abandoned, conservation audits clean — and the variants match.
+// abandoned, conservation audits clean — and the two match.
 func (r E14Result) Ok() bool {
 	budget := int64(r.Cfg.withDefaults().Budget)
-	for _, c := range []E14Cell{r.Fast, r.Slow, r.FastBurst, r.SlowBurst} {
+	for _, c := range []E14Cell{r.Fast, r.Ref} {
 		if c.Migrations != 1 || c.MigrateLatencyNs > budget {
 			return false
 		}
@@ -147,19 +138,17 @@ func (r E14Result) Ok() bool {
 	return r.Match()
 }
 
-// RunE14 runs all four variants from the same seed.
+// RunE14 runs both kernels from the same seed.
 func RunE14(cfg E14Config) E14Result {
 	cfg = cfg.withDefaults()
 	return E14Result{
-		Cfg:       cfg,
-		Fast:      runE14Variant(cfg, true, false),
-		Slow:      runE14Variant(cfg, false, false),
-		FastBurst: runE14Variant(cfg, true, true),
-		SlowBurst: runE14Variant(cfg, false, true),
+		Cfg:  cfg,
+		Fast: runE14Kernel(cfg, appliance.Boot),
+		Ref:  runE14Kernel(cfg, appliance.BootReference),
 	}
 }
 
-func runE14Variant(cfg E14Config, fast, burst bool) E14Cell {
+func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
 	eng := sim.New(cfg.Seed)
 	links := make([]*netdev.Link, 2)
 	for i := range links {
@@ -174,10 +163,8 @@ func runE14Variant(cfg E14Config, fast, burst bool) E14Cell {
 	bcfg := appliance.DefaultConfig()
 	bcfg.MAC, bcfg.Addr = scoutMAC, scoutAddr
 	bcfg.RefreshHz = 2000
-	bcfg.NoFastPath = !fast
-	bcfg.CoalesceRx = burst
 	bcfg.ExtraLinks = links[1:]
-	kern, err := appliance.Boot(eng, links[0], bcfg)
+	kern, err := boot(eng, links[0], bcfg)
 	if err != nil {
 		panic(err)
 	}
@@ -274,8 +261,6 @@ func runE14Variant(cfg E14Config, fast, burst bool) E14Cell {
 	})
 
 	cell := E14Cell{
-		FastPath:      fast,
-		Burst:         burst,
 		Total:         total,
 		Displayed:     sink.Displayed(),
 		PathCPUNs:     int64(p.CPUTime()),
@@ -324,46 +309,37 @@ func PrintE14(w io.Writer, res E14Result) {
 	fprintf(w, "detector: %v receive silence; migration budget %v; sender fails over after %d losses\n",
 		cfg.Silence, cfg.Budget, cfg.FailoverLosses)
 	fprintf(w, "%-13s %9s %6s %6s %6s %12s %12s %14s %14s\n",
-		"VARIANT", "DISPLAYED", "I-OK", "P-OK", "INCOMP", "MIGRATE-AT", "MIG-LAT", "PATH-CPU", "END")
-	row := func(c E14Cell) {
-		name := "fast"
-		if !c.FastPath {
-			name = "nofast"
-		}
-		if c.Burst {
-			name += "+burst"
-		}
+		"KERNEL", "DISPLAYED", "I-OK", "P-OK", "INCOMP", "MIGRATE-AT", "MIG-LAT", "PATH-CPU", "END")
+	row := func(name string, c E14Cell) {
 		fprintf(w, "%-13s %9d %6d %6d %6d %12v %12v %14v %14v\n",
 			name, c.Displayed, c.CompleteI, c.CompleteP, c.Incomplete,
 			time.Duration(c.MigrateAtNs), time.Duration(c.MigrateLatencyNs),
 			time.Duration(c.PathCPUNs), time.Duration(c.EndNs))
 	}
-	row(res.Fast)
-	row(res.FastBurst)
-	row(res.Slow)
-	row(res.SlowBurst)
+	row("fast", res.Fast)
+	row("reference", res.Ref)
 	f := res.Fast
 	fprintf(w, "migration: %d, resumed on the spare NIC %v after link death; sender failover at %v\n",
 		f.Migrations, time.Duration(f.MigrateLatencyNs), time.Duration(f.FailoverAtNs))
 	fprintf(w, "dead link swallowed %d frames; recovery: %d fast retransmits, %d RTOs, %d abandoned\n",
 		f.DeadLinkDrops, f.Retx, f.RTOs, f.Abandoned)
-	fprintf(w, "flow-cache generations advanced: retired NIC %v, adopting NIC %v (nofast runs have no cache)\n",
+	fprintf(w, "flow-cache generations advanced: retired NIC %v, adopting NIC %v (the reference kernel has no cache)\n",
 		f.OldGenBumped, f.NewGenBumped)
 	audits := 0
-	for _, c := range []E14Cell{res.Fast, res.Slow, res.FastBurst, res.SlowBurst} {
+	for _, c := range []E14Cell{res.Fast, res.Ref} {
 		audits += len(c.AuditViolations)
 		for _, v := range c.AuditViolations {
 			fprintf(w, "AUDIT: %s\n", v)
 		}
 	}
 	if audits == 0 {
-		fprintf(w, "conservation audits clean in all variants (pre- and post-destroy)\n")
+		fprintf(w, "conservation audits clean on both kernels (pre- and post-destroy)\n")
 	}
 	if res.Ok() {
 		fprintf(w, "OK: migrated once within budget, zero incomplete frames, outputs identical\n")
-		fprintf(w, "    across {fast,nofast} x {burst,per-frame}\n")
+		fprintf(w, "    to the reference kernel\n")
 	} else if !res.Match() {
-		fprintf(w, "MISMATCH: variant outputs diverge from the reference run\n")
+		fprintf(w, "MISMATCH: outputs diverge from the reference kernel\n")
 	} else {
 		fprintf(w, "FAILED: migration gate violated (count, budget, frame loss, or audits)\n")
 	}

@@ -18,7 +18,7 @@ import (
 // bootMultipath builds a world with one wire per delay, boots the appliance
 // with NIC i on wire i, and attaches one source-side host per wire (same
 // IP/MAC on every wire; subflow UDP ports tell the traffic apart).
-func bootMultipath(seed int64, delays []time.Duration, noFast bool) (*sim.Engine, []*netdev.Link, *appliance.Kernel, []*host.Host) {
+func bootMultipath(seed int64, delays []time.Duration, boot bootFunc) (*sim.Engine, []*netdev.Link, *appliance.Kernel, []*host.Host) {
 	eng := sim.New(seed)
 	links := make([]*netdev.Link, len(delays))
 	for i, d := range delays {
@@ -28,8 +28,7 @@ func bootMultipath(seed int64, delays []time.Duration, noFast bool) (*sim.Engine
 	cfg.MAC, cfg.Addr = scoutMAC, scoutAddr
 	cfg.RefreshHz = 2000
 	cfg.ExtraLinks = links[1:]
-	cfg.NoFastPath = noFast
-	k, err := appliance.Boot(eng, links[0], cfg)
+	k, err := boot(eng, links[0], cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -78,7 +77,7 @@ func startMultipathFlow(eng *sim.Engine, k *appliance.Kernel, hosts []*host.Host
 // resequence them into a complete stream, and the sender's spurious fast
 // retransmits (dup-acks from reordering, not loss) must stay bounded.
 func TestMultipathResequencingAcrossLatencies(t *testing.T) {
-	eng, _, k, hosts := bootMultipath(1, []time.Duration{20 * time.Microsecond, 5 * time.Millisecond}, false)
+	eng, _, k, hosts := bootMultipath(1, []time.Duration{20 * time.Microsecond, 5 * time.Millisecond}, appliance.Boot)
 	clip := mpeg.Flower
 	ps, src := startMultipathFlow(eng, k, hosts, clip, 7000, 2, "round-robin-stripe", 0)
 	p := ps.Sub(0).Path
@@ -193,14 +192,14 @@ func TestMultipathTraceLabelsAndDeviceRows(t *testing.T) {
 // runRepinVariant streams one loss-aware flow over two links, degrades the
 // flow's starting link mid-run, and reports the outputs a fast-path
 // differential must agree on.
-func runRepinVariant(t *testing.T, noFast bool) (cell struct {
+func runRepinVariant(t *testing.T, boot bootFunc) (cell struct {
 	Displayed, Complete int64
 	EndNs, CPUNs        int64
 	Repins              int64
 	RetiredGen          uint64
 }) {
 	t.Helper()
-	eng, links, k, hosts := bootMultipath(1, []time.Duration{20 * time.Microsecond, 20 * time.Microsecond}, noFast)
+	eng, links, k, hosts := bootMultipath(1, []time.Duration{20 * time.Microsecond, 20 * time.Microsecond}, boot)
 	clip := mpeg.Flower
 	ps, src := startMultipathFlow(eng, k, hosts, clip, 7000, 2, "loss-aware-ewma", 0)
 	p := ps.Sub(0).Path
@@ -237,12 +236,12 @@ func runRepinVariant(t *testing.T, noFast bool) (cell struct {
 // Satellite: after a policy re-pin the flow cache must never deliver to the
 // retired subpath. The unit half of the guarantee (Gen() advances on re-pin)
 // is asserted here at system level; the differential half is E12's logic with
-// multipath enabled — a same-seed run with the fast path disabled must agree
+// multipath enabled — a same-seed run on the reference kernel must agree
 // on every output, which it could not if a stale cache binding kept routing
 // frames to the abandoned subpath.
 func TestMultipathRepinFastPathDifferential(t *testing.T) {
-	fast := runRepinVariant(t, false)
-	slow := runRepinVariant(t, true)
+	fast := runRepinVariant(t, appliance.Boot)
+	slow := runRepinVariant(t, appliance.BootReference)
 	if fast.Repins < 1 {
 		t.Fatalf("degrading the incumbent link caused no re-pin")
 	}
@@ -251,7 +250,7 @@ func TestMultipathRepinFastPathDifferential(t *testing.T) {
 	}
 	if fast.Displayed != slow.Displayed || fast.Complete != slow.Complete ||
 		fast.EndNs != slow.EndNs || fast.CPUNs != slow.CPUNs {
-		t.Fatalf("fast/slow outputs diverge with multipath: fast=%+v slow=%+v", fast, slow)
+		t.Fatalf("outputs diverge from the reference kernel with multipath: fast=%+v reference=%+v", fast, slow)
 	}
 	if fast.Complete < int64(mpeg.Flower.Frames)*95/100 {
 		t.Fatalf("re-pinned flow lost too many frames: %d/%d complete", fast.Complete, mpeg.Flower.Frames)

@@ -102,14 +102,8 @@ func NewDeviceOn(l *Link, addr MAC, cpu *sched.Sched, eng *sim.Engine) *Device {
 	if side < 0 {
 		panic("netdev: cross links are point-to-point (one device per side)")
 	}
-	h := l.cross.halves[side]
-	if _, dup := l.devs[addr]; dup {
-		panic(fmt.Sprintf("netdev: duplicate MAC %s on link", addr))
-	}
-	d := &Device{Addr: addr, link: l, eng: eng, cpu: cpu, side: side}
-	h.dev = d
-	l.devs[addr] = d
-	l.order = append(l.order, d)
+	d := l.mustAttach(addr, cpu, eng, side)
+	l.cross.halves[side].dev = d
 	return d
 }
 
@@ -141,7 +135,9 @@ func (l *Link) crossTransmit(src *Device, dst MAC, m *msg.Msg) {
 	h.out.Post(arrive, func() { l.crossDeliver(peer, dst, m) })
 }
 
-// crossDeliver runs on the receiving half's engine.
+// crossDeliver runs on the receiving half's engine. A direction's arrivals
+// never coincide (no jitter, non-zero serialization), so each frame is a
+// burst of one, flushed at once; the link's shared hit list stays untouched.
 func (l *Link) crossDeliver(h *crossHalf, dst MAC, m *msg.Msg) {
 	d := h.dev
 	if d == nil || (dst != Broadcast && dst != d.Addr) {
@@ -150,4 +146,5 @@ func (l *Link) crossDeliver(h *crossHalf, dst MAC, m *msg.Msg) {
 	}
 	h.delivered++
 	d.receive(m)
+	d.flush()
 }

@@ -96,6 +96,11 @@ func TestCrossLinkSerializesPerDirection(t *testing.T) {
 	if want := sim.Time(3 * time.Millisecond); at[1] != want {
 		t.Fatalf("second frame at %v, want %v (serialized behind the first)", at[1], want)
 	}
+	// Cross-link frames ride the mailbox, not the local FIFO: each is a
+	// burst of one.
+	if bursts, frames := b.BurstStats(); bursts != 2 || frames != 2 {
+		t.Fatalf("burst stats = (%d, %d), want (2, 2)", bursts, frames)
+	}
 }
 
 func TestCrossLinkRejectsShortDelay(t *testing.T) {

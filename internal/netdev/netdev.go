@@ -68,6 +68,15 @@ type Link struct {
 	dropped     int64
 	delivered   int64
 
+	// The wire is a FIFO — frame N+1 never overtakes frame N — so frames in
+	// flight wait in one ring in arrival order and the engine holds one
+	// event per distinct arrival instant, which hands every device its
+	// frames of that instant as one burst.
+	ring     []flight // power-of-two capacity
+	head, n  int
+	arriveFn func()    // l.arrive, bound once so scheduling allocates no closure
+	hit      []*Device // devices holding frames since the last flush, first-arrival order
+
 	down      bool
 	downDrops int64
 
@@ -80,7 +89,17 @@ func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
 	if cfg.BitsPerSec <= 0 {
 		cfg.BitsPerSec = 10_000_000
 	}
-	return &Link{eng: eng, cfg: cfg, devs: make(map[MAC]*Device), frand: eng.DeriveRand(int64(cfg.ID))}
+	l := &Link{eng: eng, cfg: cfg, devs: make(map[MAC]*Device), frand: eng.DeriveRand(int64(cfg.ID))}
+	l.arriveFn = l.arrive
+	return l
+}
+
+// flight is one frame on the wire.
+type flight struct {
+	src *Device
+	dst MAC
+	m   *msg.Msg
+	at  sim.Time
 }
 
 // ID reports the link's configured identifier.
@@ -212,7 +231,10 @@ func (l *Link) schedule(src *Device, dst MAC, m *msg.Msg, txEnd sim.Time, fs *fa
 		// frames bypass the monotonicity clamp below and do not advance
 		// the watermark.
 		extra := 1 + l.frand.Int63n(int64(fs.plan.ReorderDelay))
-		l.eng.At(arrive.Add(time.Duration(extra)), func() { l.deliver(src, dst, m) })
+		l.eng.At(arrive.Add(time.Duration(extra)), func() {
+			l.deliver(src, dst, m)
+			l.flush()
+		})
 		return
 	}
 	// A shared serial medium never reorders: jitter may stretch a frame's
@@ -220,10 +242,39 @@ func (l *Link) schedule(src *Device, dst MAC, m *msg.Msg, txEnd sim.Time, fs *fa
 	if arrive < l.lastArrival {
 		arrive = l.lastArrival
 	}
+	// The batch is formed from the link's own transmit sequence only: a
+	// frame joins the tail batch iff it lands on the tail's instant (the
+	// watermark) and the tail has not fired (fired frames have left the
+	// ring). Asking the engine what else is pending would make the event
+	// count depend on what shares the shard.
+	if l.n == 0 || arrive != l.lastArrival {
+		l.eng.At(arrive, l.arriveFn)
+	}
 	l.lastArrival = arrive
-	l.eng.At(arrive, func() {
-		l.deliver(src, dst, m)
-	})
+	if l.n == len(l.ring) {
+		grown := make([]flight, max(8, 2*len(l.ring)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = grown, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = flight{src: src, dst: dst, m: m, at: arrive}
+	l.n++
+}
+
+// arrive is the link's one event per arrival instant: every frame due now
+// leaves the wire, in transmit order, and each device it reached takes its
+// share as one burst.
+func (l *Link) arrive() {
+	now := l.eng.Now()
+	for l.n > 0 && l.ring[l.head].at <= now {
+		f := l.ring[l.head]
+		l.ring[l.head] = flight{}
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		l.deliver(f.src, f.dst, f.m)
+	}
+	l.flush()
 }
 
 // BusyUntil reports when the medium frees up — the serialization horizon,
@@ -231,42 +282,57 @@ func (l *Link) schedule(src *Device, dst MAC, m *msg.Msg, txEnd sim.Time, fs *fa
 // through it).
 func (l *Link) BusyUntil() sim.Time { return l.busyUntil }
 
+// deliver lands a frame on the device(s) addressed by dst. No handler runs
+// here — the frames wait in each device's burst until flush — so a
+// broadcast can clone as it goes.
 func (l *Link) deliver(src *Device, dst MAC, m *msg.Msg) {
 	if dst == Broadcast {
-		var rcpt []*Device
+		taken := false
 		for _, d := range l.order {
-			if d != src {
-				rcpt = append(rcpt, d)
+			switch {
+			case d == src:
+			case taken:
+				l.land(d, m.Clone())
+			default:
+				taken = true
+				l.land(d, m)
 			}
 		}
-		if len(rcpt) == 0 { // nobody else on the wire
+		if !taken { // nobody else on the wire
 			m.Free()
-			return
-		}
-		// Clone before delivering: a recipient may free its copy
-		// synchronously.
-		frames := make([]*msg.Msg, len(rcpt))
-		frames[0] = m
-		for i := 1; i < len(rcpt); i++ {
-			frames[i] = m.Clone()
-		}
-		for i, d := range rcpt {
-			l.delivered++
-			d.receive(frames[i])
 		}
 		return
 	}
 	if d, ok := l.devs[dst]; ok && d != src {
-		l.delivered++
-		d.receive(m)
+		l.land(d, m)
 		return
 	}
 	m.Free()
 }
 
-// Device is a simulated NIC. Its receive side invokes OnReceive from
-// interrupt context; when a scheduler is attached the per-frame interrupt
-// cost is stolen from the running thread, exactly like a real RX interrupt.
+func (l *Link) land(d *Device, m *msg.Msg) {
+	l.delivered++
+	if len(d.burst) == 0 {
+		l.hit = append(l.hit, d)
+	}
+	d.receive(m)
+}
+
+// flush raises the receive interrupt on every device that took frames since
+// the last flush, in first-arrival order.
+func (l *Link) flush() {
+	for i, d := range l.hit {
+		l.hit[i] = nil
+		d.flush()
+	}
+	l.hit = l.hit[:0]
+}
+
+// Device is a simulated NIC. The link hands it its frames of one arrival
+// instant as a burst, and its receive side runs the handler over that burst
+// from interrupt context; when a scheduler is attached the burst is one
+// interrupt entry whose cost (RxIRQCost per frame) is stolen from the
+// running thread, exactly like a real RX interrupt.
 type Device struct {
 	Addr MAC
 
@@ -274,15 +340,17 @@ type Device struct {
 	eng  *sim.Engine
 	cpu  *sched.Sched
 
-	// OnReceive handles an arriving frame at interrupt time. The ETH
-	// router installs the classifier here. A nil handler drops frames.
+	// OnReceive handles one arriving frame at interrupt time; hosts and
+	// other single-frame consumers install only this. With neither handler
+	// set, frames are dropped.
 	OnReceive func(m *msg.Msg)
-	// OnReceiveBurst, when set, handles a whole coalesced burst in one call
-	// (frames in arrival order) instead of OnReceive once per frame. The
-	// handler takes ownership of every frame; the slice itself remains the
-	// device's and is reused for the next burst, so it must not be retained.
+	// OnReceiveBurst, when set, handles a whole burst in one call (frames
+	// in arrival order) instead of OnReceive once per frame; the ETH router
+	// installs the classifier here. The handler takes ownership of every
+	// frame; the slice itself remains the device's and is reused for the
+	// next burst, so it must not be retained.
 	OnReceiveBurst func(frames []*msg.Msg)
-	// RxIRQCost is the CPU cost charged per receive interrupt (classifier
+	// RxIRQCost is the CPU cost charged per received frame (classifier
 	// + buffer handling). The paper's unoptimized classifier demuxes a
 	// UDP packet in under 5 µs (§3.6).
 	RxIRQCost time.Duration
@@ -314,15 +382,9 @@ type Device struct {
 	lastRx       sim.Time
 	ldFired      bool
 
-	// CoalesceRx batches frames that arrive at the same virtual instant
-	// into a single scheduler interrupt entry charging the summed IRQ cost
-	// — interrupt mitigation, opt-in per device. The per-frame handler
-	// still runs once per frame, in arrival order.
-	CoalesceRx  bool
-	burst       []*msg.Msg
-	burstArmed  bool
-	bursts      int64 // drained bursts (interrupt entries in coalesced mode)
-	burstFrames int64 // frames those bursts carried
+	burst       []*msg.Msg // frames landed since the last flush
+	bursts      int64      // bursts handled (receive interrupt entries)
+	burstFrames int64      // frames those bursts carried
 
 	rx, tx, rxDropped int64
 	noPathDrops       int64
@@ -347,10 +409,15 @@ func NewDevice(l *Link, addr MAC, cpu *sched.Sched) *Device {
 	if l.cross != nil {
 		return NewDeviceOn(l, addr, cpu, l.eng)
 	}
+	return l.mustAttach(addr, cpu, l.eng, 0)
+}
+
+// mustAttach registers a new device on the link.
+func (l *Link) mustAttach(addr MAC, cpu *sched.Sched, eng *sim.Engine, side int) *Device {
 	if _, dup := l.devs[addr]; dup {
 		panic(fmt.Sprintf("netdev: duplicate MAC %s on link", addr))
 	}
-	d := &Device{Addr: addr, link: l, eng: l.eng, cpu: cpu}
+	d := &Device{Addr: addr, link: l, eng: eng, cpu: cpu, side: side}
 	l.devs[addr] = d
 	l.order = append(l.order, d)
 	return d
@@ -429,84 +496,58 @@ func (d *Device) ClearLinkDown() {
 	}
 }
 
+// receive lands one frame in the device's burst; the link flushes it once
+// every frame of the instant has landed.
 func (d *Device) receive(m *msg.Msg) {
 	d.rx++
 	m.Arrival = int64(d.eng.Now())
 	d.lastRx = d.eng.Now()
-	if d.OnReceive == nil && d.OnReceiveBurst == nil {
-		d.rxDropped++
-		m.Free()
-		return
-	}
-	if d.cpu != nil {
-		if d.CoalesceRx {
-			// Batch same-instant arrivals into one interrupt entry: link
-			// deliveries for this instant are already queued ahead of the
-			// drain event (FIFO among same-time events), so the drain sees
-			// the whole burst.
-			d.burst = append(d.burst, m)
-			if !d.burstArmed {
-				d.burstArmed = true
-				d.eng.At(d.eng.Now(), d.drainBurst)
-			}
-			return
-		}
-	}
-	if d.OnReceive == nil {
-		d.rxDropped++
-		m.Free()
-		return
-	}
-	if d.cpu != nil {
-		d.cpu.Interrupt(d.RxIRQCost, func() { d.OnReceive(m) })
-		return
-	}
-	d.OnReceive(m)
+	d.burst = append(d.burst, m)
 }
 
-// drainBurst charges one interrupt entry of N×RxIRQCost for the accumulated
-// burst and hands it to the burst handler in one call — or, absent one, runs
-// the per-frame handler for each frame in arrival order. Handlers run
-// synchronously inside Interrupt, so the burst slice can be reclaimed for
-// the next batch without reallocating.
-func (d *Device) drainBurst() {
+// flush charges one interrupt entry of N×RxIRQCost for the landed burst and
+// runs the handler over it. A handlerless device (never wired, or torn down
+// by an earlier handler of the same instant) drops the frames and charges
+// nothing for work no handler will do. Handlers run synchronously inside
+// Interrupt, so the burst slice is reclaimed for the next batch.
+func (d *Device) flush() {
 	frames := d.burst
-	d.burstArmed = false
 	if d.OnReceive == nil && d.OnReceiveBurst == nil {
-		// The handler was torn down between arming and the drain event
-		// (appliance shutdown mid-burst): drop the burst the way receive
-		// drops handlerless frames, charging no interrupt cost for work no
-		// handler will do.
 		d.rxDropped += int64(len(frames))
-		for i, m := range frames {
-			frames[i] = nil
+		for _, m := range frames {
 			m.Free()
 		}
-		d.burst = frames[:0]
-		return
+	} else {
+		d.bursts++
+		d.burstFrames += int64(len(frames))
+		if d.cpu != nil {
+			d.cpu.Interrupt(time.Duration(len(frames))*d.RxIRQCost, d.handleBurst)
+		} else {
+			d.handleBurst()
+		}
 	}
-	d.bursts++
-	d.burstFrames += int64(len(frames))
-	d.cpu.Interrupt(time.Duration(len(frames))*d.RxIRQCost, func() {
-		if d.OnReceiveBurst != nil {
-			d.OnReceiveBurst(frames)
-			return
-		}
-		for _, m := range frames {
-			d.OnReceive(m)
-		}
-	})
 	clear(frames)
 	d.burst = frames[:0]
+}
+
+// handleBurst is the interrupt body: the burst handler takes the whole
+// burst in one call, or the per-frame handler each frame in arrival order.
+func (d *Device) handleBurst() {
+	if d.OnReceiveBurst != nil {
+		d.OnReceiveBurst(d.burst)
+		return
+	}
+	for _, m := range d.burst {
+		d.OnReceive(m)
+	}
 }
 
 // Stats reports (frames received, transmitted, dropped for lack of a
 // handler).
 func (d *Device) Stats() (rx, tx, dropped int64) { return d.rx, d.tx, d.rxDropped }
 
-// BurstStats reports how many coalesced bursts were drained and how many
-// frames they carried in total (frames/bursts is the achieved coalescing
-// factor).
+// BurstStats reports how many bursts the handlers took (one receive
+// interrupt entry each) and how many frames they carried in total.
 func (d *Device) BurstStats() (bursts, frames int64) { return d.bursts, d.burstFrames }
 
 // Engine returns the simulation engine the device runs on.

@@ -93,7 +93,6 @@ func (e *Impl) Services() []core.ServiceSpec {
 // with the graph so control-plane changes invalidate it.
 func (e *Impl) Init(r *core.Router) error {
 	e.router = r
-	e.dev.OnReceive = e.receive
 	e.dev.OnReceiveBurst = e.receiveBurst
 	if e.FlowCacheCap >= 0 {
 		cap := e.FlowCacheCap
@@ -130,30 +129,6 @@ func (e *Impl) BindType(etherType uint16, demux func(m *msg.Msg) (*core.Path, er
 // Stats returns a snapshot of driver counters.
 func (e *Impl) Stats() Stats { return e.stats }
 
-// receive runs in interrupt context: classify the frame, place it on the
-// right path's input queue, or discard it.
-func (e *Impl) receive(m *msg.Msg) {
-	e.stats.RxFrames++
-	p, err := e.Classify(m)
-	if err != nil {
-		e.stats.RxNoPath++
-		if errors.Is(err, core.ErrNoPath) {
-			e.dev.NoteNoPath()
-		}
-		m.Free()
-		return
-	}
-	if p.EarlyDiscard != nil && p.EarlyDiscard(m) {
-		p.EarlyDiscards++
-		m.Free()
-		return
-	}
-	if !p.EnqueueIncoming(e.router.Name, m) {
-		e.stats.RxQueueFull++
-		m.Free()
-	}
-}
-
 // Classify maps a raw frame to a path. It leaves the message untouched
 // (headers are popped during classification and pushed back afterwards, so
 // the path's execution sees the whole frame).
@@ -173,8 +148,7 @@ func (e *Impl) Classify(m *msg.Msg) (*core.Path, error) {
 }
 
 // classifyKeyed resolves a frame whose fingerprint is key: cache hit, or
-// full walk recording the result. Shared by the per-frame and burst
-// classifiers.
+// full walk recording the result.
 func (e *Impl) classifyKeyed(fc *core.FlowCache, key core.FlowKey, m *msg.Msg) (*core.Path, error) {
 	if p, hit := fc.Lookup(key); hit {
 		return p, nil
@@ -197,18 +171,33 @@ func (e *Impl) classifyKeyed(fc *core.FlowCache, key core.FlowKey, m *msg.Msg) (
 // is still exactly what classifying the frame from scratch would produce.
 type burstMemo struct {
 	valid bool
-	key   core.FlowKey
+	sig   netdev.FlowSig
 	path  *core.Path
 	gen   uint64
 }
 
-// classifyInBurst classifies one frame of a burst through the memo.
-// Ineligible frames (no extractable fingerprint) take the full walk exactly
-// as in per-frame mode and leave the memo untouched. Errors are never
-// memoized, mirroring the cache's errors-are-never-cached rule: a
-// control-plane change between frames can turn a no-path frame into a
-// classifiable one (never the reverse without an invalidation).
-func (e *Impl) classifyInBurst(bm *burstMemo, m *msg.Msg) (*core.Path, error) {
+// classifyMemo resolves one frame of a burst through the memo. The hit path
+// is a signature compare — five word compares, one checksum fold and one
+// generation check instead of a full key extraction — and SameFlow matching
+// strictly implies key equality, so the decision is the one Classify would
+// make. The miss path lives in resolveMemo so this call — once per frame in
+// the two burst loops, the wall-clock burst budget (BenchmarkE2_Demux_Burst)
+// — stays small.
+func (e *Impl) classifyMemo(bm *burstMemo, m *msg.Msg) (*core.Path, error) {
+	if bm.valid && netdev.SameFlow(bm.sig, m.Bytes()) && e.dev.Flows.Gen() == bm.gen {
+		e.stats.BurstShared++
+		return bm.path, nil
+	}
+	return e.resolveMemo(bm, m)
+}
+
+// resolveMemo is the memo's miss path: classify as Classify would and
+// remember the outcome. Ineligible frames (no extractable fingerprint) take
+// the full walk and leave the memo untouched. Errors are never memoized,
+// mirroring the cache's errors-are-never-cached rule: a control-plane change
+// between frames can turn a no-path frame into a classifiable one (never the
+// reverse without an invalidation).
+func (e *Impl) resolveMemo(bm *burstMemo, m *msg.Msg) (*core.Path, error) {
 	fc := e.dev.Flows
 	if fc == nil {
 		return e.ClassifyUncached(m)
@@ -217,13 +206,9 @@ func (e *Impl) classifyInBurst(bm *burstMemo, m *msg.Msg) (*core.Path, error) {
 	if !ok {
 		return e.ClassifyUncached(m)
 	}
-	if bm.valid && key == bm.key && fc.Gen() == bm.gen {
-		e.stats.BurstShared++
-		return bm.path, nil
-	}
 	p, err := e.classifyKeyed(fc, key, m)
 	if err == nil {
-		*bm = burstMemo{valid: true, key: key, path: p, gen: fc.Gen()}
+		*bm = burstMemo{valid: true, sig: netdev.SigOf(m.Bytes()), path: p, gen: fc.Gen()}
 	} else {
 		bm.valid = false
 	}
@@ -243,72 +228,30 @@ type BurstClass struct {
 // results are valid within the current event only — control-plane changes
 // invalidate cached bindings, not returned values.
 func (e *Impl) ClassifyBurst(frames []*msg.Msg, out []BurstClass) []BurstClass {
-	fc := e.dev.Flows
-	if fc == nil {
-		for _, m := range frames {
-			p, err := e.ClassifyUncached(m)
-			out = append(out, BurstClass{Path: p, Err: err})
-		}
-		return out
-	}
-	// Open-coded classifyInBurst with the memo in locals and a signature
-	// compare on the hit path: a steady-state frame costs five word
-	// compares, one checksum fold and one generation check instead of a
-	// full key extraction — this loop is the wall-clock burst budget
-	// (BenchmarkE2_Demux_Burst). SameFlow matching strictly implies key
-	// equality, so the decisions are frame-for-frame identical to the
-	// per-frame classifier; the differential test holds both versions to
-	// that.
-	addr := e.dev.Addr
-	var (
-		memoValid bool
-		memoSig   netdev.FlowSig
-		memoPath  *core.Path
-		memoGen   uint64
-		shared    int64
-	)
+	var bm burstMemo
 	for _, m := range frames {
-		b := m.Bytes()
-		if memoValid && netdev.SameFlow(memoSig, b) && fc.Gen() == memoGen {
-			shared++
-			out = append(out, BurstClass{Path: memoPath})
-			continue
-		}
-		key, ok := netdev.FlowKeyOf(addr, b)
-		if !ok {
-			// Ineligible frames walk and leave the memo untouched, as in
-			// per-frame mode.
-			p, err := e.ClassifyUncached(m)
-			out = append(out, BurstClass{Path: p, Err: err})
-			continue
-		}
-		p, err := e.classifyKeyed(fc, key, m)
-		if err == nil {
-			memoValid, memoSig, memoPath, memoGen = true, netdev.SigOf(b), p, fc.Gen()
-		} else {
-			memoValid = false
-		}
+		p, err := e.classifyMemo(&bm, m)
 		out = append(out, BurstClass{Path: p, Err: err})
 	}
-	e.stats.BurstShared += shared
 	return out
 }
 
-// receiveBurst handles a coalesced burst in one interrupt entry: classify
-// and deliver each frame in arrival order, interleaved. Interleaving (rather
-// than classify-all-then-deliver-all) is what keeps burst mode outcome-
-// identical to per-frame mode: delivery can dispatch control-plane work
-// synchronously, and the next frame must see its effects — the burst memo's
-// generation check handles exactly that. Runs of same-path frames also share
-// one input-queue resolution; the queue's own hooks still fire per frame, so
-// trace spans nest per frame as before.
+// receiveBurst runs in interrupt context: classify each frame of the burst
+// and place it on the right path's input queue, or discard it — in arrival
+// order, interleaved. Interleaving (rather than classify-all-then-deliver-
+// all) is what makes a burst outcome-identical to its frames arriving one
+// by one: delivery can dispatch control-plane work synchronously, and the
+// next frame must see its effects — the burst memo's generation check
+// handles exactly that. Runs of same-path frames also share one input-queue
+// resolution; the queue's own hooks still fire per frame, so trace spans
+// nest per frame.
 func (e *Impl) receiveBurst(frames []*msg.Msg) {
 	var bm burstMemo
 	var lastPath *core.Path
 	var lastQ *core.Queue
 	for _, m := range frames {
 		e.stats.RxFrames++
-		p, err := e.classifyInBurst(&bm, m)
+		p, err := e.classifyMemo(&bm, m)
 		if err != nil {
 			e.stats.RxNoPath++
 			if errors.Is(err, core.ErrNoPath) {
