@@ -1,8 +1,5 @@
-# Developer entry points. `make check` and CI (.github/workflows/ci.yml) are
-# not yet the same list (ROADMAP item 5): both run build, vet, test, race,
-# lint, fastgate, mpgate, miggate and scalegate; CI additionally runs
-# lintgraph, tracegate, chaosgate, benchsmoke, benchdiff and the bench
-# artifact.
+# Developer entry points. `make check` is the CI list
+# (.github/workflows/ci.yml) minus the artifact uploads (lintgraph, bench).
 
 GO ?= go
 
@@ -18,7 +15,7 @@ BENCHBASE ?= BENCH_pr7.json
 
 .PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke tracegate chaosgate fastgate mpgate miggate scalegate
 
-check: build vet test race lint fastgate mpgate miggate scalegate
+check: build vet test race lint tracegate chaosgate fastgate mpgate miggate scalegate benchsmoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -81,51 +78,41 @@ tracegate:
 fastgate:
 	$(GO) run ./cmd/mpegbench -run e12 -e12-smoke
 
-# mpgate is the multipath determinism gate: two same-seed E13 smoke runs
-# (the full k x policy grid with a mid-run link fault) must print
-# byte-identical reports.
-mpgate:
+# samegate runs mpegbench experiment $(1) (smoke flag $(2)) twice at the same
+# seed and requires byte-identical reports (wall-clock lines excluded — they
+# legitimately vary). Either run failing its own internal gate (mpegbench
+# exits non-zero) fails the target too.
+define samegate
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run e13 -e13-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run e13 -e13-smoke | grep -v wall-clock > $$dir/b.txt && \
+	$(GO) run ./cmd/mpegbench -run $(1) $(2) > $$dir/a.raw && \
+	$(GO) run ./cmd/mpegbench -run $(1) $(2) > $$dir/b.raw && \
+	grep -v wall-clock $$dir/a.raw > $$dir/a.txt && \
+	grep -v wall-clock $$dir/b.raw > $$dir/b.txt && \
 	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "mpgate: E13 multipath report byte-identical across same-seed runs"; \
+	echo "$@: $(1) report byte-identical across same-seed runs"; \
 	rc=$$?; rm -rf $$dir; exit $$rc
+endef
 
-# miggate is the live-migration gate: two same-seed E14 smoke runs (link
-# killed mid-clip, path respliced onto the spare NIC) must print
-# byte-identical reports, and the run itself must pass E14's internal gate
-# (one migration within budget, zero incomplete frames, clean audits —
-# mpegbench exits non-zero otherwise).
+# mpgate is the multipath determinism gate: E13 smoke, the full k x policy
+# grid with a mid-run link fault.
+mpgate:
+	$(call samegate,e13,-e13-smoke)
+
+# miggate is the live-migration gate: E14 smoke (link killed mid-clip, path
+# respliced onto the spare NIC), whose internal gate wants one migration
+# within budget, zero incomplete frames and clean audits.
 miggate:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run e14 -e14-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run e14 -e14-smoke | grep -v wall-clock > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "miggate: E14 migration report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
+	$(call samegate,e14,-e14-smoke)
 
 # scalegate is the sharded-kernel determinism gate, two layers deep: each
 # E15 smoke run internally requires identical digests/totals/event counts
-# across shard counts (mpegbench exits non-zero on divergence), and two
-# same-seed runs must print byte-identical reports (wall-clock rate lines
-# excluded — they legitimately vary).
+# across shard counts, and the two runs must match each other.
 scalegate:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run e15 -e15-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run e15 -e15-smoke | grep -v wall-clock > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "scalegate: E15 sharded report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
+	$(call samegate,e15,-e15-smoke)
 
 # chaosgate is the overload-survival gate: the seeded chaos suite (fault
-# plane, watchdog, degradation, lifecycle audits) must be race-clean, and two
-# same-seed E11 smoke runs must print byte-identical reports.
+# plane, watchdog, degradation, lifecycle audits) must be race-clean, and
+# the E11 smoke report must be reproducible.
 chaosgate:
 	$(GO) test -race ./internal/chaos ./internal/exp -run 'Chaos|E11|Inflate|Stall|Squeeze|Poison|Audit|Destroy'
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run overload -overload-smoke | grep -v wall-clock > $$dir/a.txt && \
-	$(GO) run ./cmd/mpegbench -run overload -overload-smoke | grep -v wall-clock > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "chaosgate: E11 overload report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
+	$(call samegate,overload,-overload-smoke)

@@ -271,30 +271,9 @@ func (g *Graph) CreatePath(r *Router, a *attr.Attrs) (*Path, error) {
 	if a == nil {
 		a = attr.New()
 	}
-	const maxStages = 64 // a path is a *linear* flow; runaway creation is a bug
-	var stages []*Stage
-	hop := &NextHop{Router: r, Service: NoService}
-	for {
-		st, next, err := hop.Router.Impl.CreateStage(hop.Router, hop.Service, a)
-		if err != nil {
-			destroyStages(stages)
-			return nil, fmt.Errorf("core: createStage %s: %w", hop.Router.Name, err)
-		}
-		if st == nil {
-			destroyStages(stages)
-			return nil, fmt.Errorf("core: createStage %s returned no stage", hop.Router.Name)
-		}
-		st.Router = hop.Router
-		st.EnterService = hop.Service
-		stages = append(stages, st)
-		if next == nil {
-			break
-		}
-		if len(stages) >= maxStages {
-			destroyStages(stages)
-			return nil, fmt.Errorf("core: path exceeds %d stages (cycle in routing decisions?)", maxStages)
-		}
-		hop = next
+	stages, err := walkStages("createStage", &NextHop{Router: r, Service: NoService}, a, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: combine stages into a path object.
@@ -316,25 +295,7 @@ func (g *Graph) CreatePath(r *Router, a *attr.Attrs) (*Path, error) {
 		destroyStages(stages)
 		return nil, err
 	}
-	for i, st := range stages {
-		st.Path = p
-		if fwd := st.End[FWD]; fwd != nil {
-			if i+1 < len(stages) {
-				fwd.Base().Next = stages[i+1].End[FWD]
-			}
-			if i > 0 {
-				fwd.Base().Back = stages[i-1].End[BWD]
-			}
-		}
-		if bwd := st.End[BWD]; bwd != nil {
-			if i > 0 {
-				bwd.Base().Next = stages[i-1].End[BWD]
-			}
-			if i+1 < len(stages) {
-				bwd.Base().Back = stages[i+1].End[FWD]
-			}
-		}
-	}
+	p.wire()
 
 	// Phase 3: establish, in creation order.
 	for _, st := range stages {
@@ -488,34 +449,66 @@ func (p *Path) Resplice(boundary string, a *attr.Attrs) error {
 
 	// Re-walk the routing decisions from the first retired router, exactly
 	// like CreatePath phase 1.
-	const maxStages = 64
-	var fresh []*Stage
-	hop := &NextHop{Router: old[0].Router, Service: old[0].EnterService}
+	fresh, err := walkStages("resplice", &NextHop{Router: old[0].Router, Service: old[0].EnterService}, a, idx+1)
+	if err != nil {
+		return err
+	}
+	p.stages = append(p.stages[:idx+1], fresh...)
+	p.End[1] = p.stages[len(p.stages)-1]
+	p.wire()
+
+	for _, st := range fresh {
+		if st.Establish == nil {
+			continue
+		}
+		if err := st.Establish(st, a); err != nil {
+			return fmt.Errorf("core: resplice establish %s: %w", st.Router.Name, err)
+		}
+	}
+	if p.fused {
+		p.fuse()
+	}
+	return nil
+}
+
+// maxStages bounds a path's length: a path is a *linear* flow; runaway
+// creation is a bug.
+const maxStages = 64
+
+// walkStages is phase 1 of path creation: it runs createStage from hop while
+// the invariants in a admit a unique routing decision. have counts the stages
+// the path already owns (a resplice keeps its upper ones) and op names the
+// caller in errors. A failed walk destroys what it created.
+func walkStages(op string, hop *NextHop, a *attr.Attrs, have int) ([]*Stage, error) {
+	var stages []*Stage
 	for {
 		st, next, err := hop.Router.Impl.CreateStage(hop.Router, hop.Service, a)
 		if err != nil {
-			destroyStages(fresh)
-			return fmt.Errorf("core: resplice %s: %w", hop.Router.Name, err)
+			destroyStages(stages)
+			return nil, fmt.Errorf("core: %s %s: %w", op, hop.Router.Name, err)
 		}
 		if st == nil {
-			destroyStages(fresh)
-			return fmt.Errorf("core: resplice %s returned no stage", hop.Router.Name)
+			destroyStages(stages)
+			return nil, fmt.Errorf("core: %s %s returned no stage", op, hop.Router.Name)
 		}
 		st.Router = hop.Router
 		st.EnterService = hop.Service
-		fresh = append(fresh, st)
+		stages = append(stages, st)
 		if next == nil {
-			break
+			return stages, nil
 		}
-		if idx+1+len(fresh) >= maxStages {
-			destroyStages(fresh)
-			return fmt.Errorf("core: resplice exceeds %d stages (cycle in routing decisions?)", maxStages)
+		if have+len(stages) >= maxStages {
+			destroyStages(stages)
+			return nil, fmt.Errorf("core: %s exceeds %d stages (cycle in routing decisions?)", op, maxStages)
 		}
 		hop = next
 	}
+}
 
-	p.stages = append(p.stages[:idx+1], fresh...)
-	p.End[1] = p.stages[len(p.stages)-1]
+// wire is phase 2's linking pass: every stage points at the path and every
+// interface at its neighbours'. Idempotent, so a resplice re-runs it over the
+// retained stages too.
+func (p *Path) wire() {
 	for i, st := range p.stages {
 		st.Path = p
 		if fwd := st.End[FWD]; fwd != nil {
@@ -535,19 +528,6 @@ func (p *Path) Resplice(boundary string, a *attr.Attrs) error {
 			}
 		}
 	}
-
-	for _, st := range fresh {
-		if st.Establish == nil {
-			continue
-		}
-		if err := st.Establish(st, a); err != nil {
-			return fmt.Errorf("core: resplice establish %s: %w", st.Router.Name, err)
-		}
-	}
-	if p.fused {
-		p.fuse()
-	}
-	return nil
 }
 
 func destroyStages(stages []*Stage) {

@@ -105,6 +105,12 @@ func TestE14MigrationGate(t *testing.T) {
 		if c.DeadLinkDrops == 0 {
 			t.Errorf("%s kernel: dead link swallowed nothing — experiment degenerate", name)
 		}
+		// The failover redispatch is the whole repair: the loss signal the
+		// sender raises is the threshold's worth of timeouts, not a second
+		// timer chain's echo of them.
+		if want := int64(res.Cfg.withDefaults().FailoverLosses); c.RTOs != want || c.Retx != 0 {
+			t.Errorf("%s kernel: %d RTOs, %d fast retransmits; want %d and 0", name, c.RTOs, c.Retx, want)
+		}
 	}
 	// The kernel actually runs the caches, so the resplice must have
 	// advanced both generations: the retired NIC's (forget the path, burst

@@ -204,3 +204,66 @@ func TestSourceBackpressureAckClamp(t *testing.T) {
 		t.Fatalf("seq = %d after window re-opened to 8, want 8 sent", s.seq)
 	}
 }
+
+// silentSource starts a Retransmit source against a peer that never acks.
+func silentSource(t *testing.T, window uint32) (*sim.Engine, *Source) {
+	t.Helper()
+	eng, a, b := twoHosts(t)
+	clip := mpeg.ClipSpec{Name: "T", Frames: 100, W: 64, H: 48, FPS: 30, GOP: 5, AvgPBits: 8000, Jitter: 0}
+	s, err := NewSource(a, SourceConfig{Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true,
+		InitialWindow: window, Retransmit: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.At(0, func() { s.Start(b.Addr, 8000) })
+	return eng, s
+}
+
+func TestSourceLossCallbackRedispatchKeepsOneTimer(t *testing.T) {
+	// E14's failover shape: the loss callback redispatches the unacked
+	// buffer. The redispatch re-sent the head and armed the timer; the
+	// timeout that ran the callback must not do either again, or two RTO
+	// chains run (and double-count losses) for the rest of the stream.
+	eng, s := silentSource(t, 5)
+	failedOver := false
+	s.OnSubLoss = func(int) {
+		if !failedOver {
+			failedOver = true
+			s.RedispatchUnacked()
+		}
+	}
+	eng.RunFor(60 * time.Millisecond) // first RTO at RTOMin = 50ms
+	if s.RTOs != 1 || s.Retransmits != 5 || s.PacketsSent != 10 {
+		t.Fatalf("RTOs=%d retransmits=%d sent=%d, want 1 timeout re-sending the 5-packet window once",
+			s.RTOs, s.Retransmits, s.PacketsSent)
+	}
+	if n := eng.Pending(); n != 1 {
+		t.Fatalf("%d events pending after the redispatch, want the one RTO timer", n)
+	}
+	eng.RunFor(50 * time.Millisecond) // the redispatch restarted the backoff
+	if s.RTOs != 2 {
+		t.Fatalf("RTOs=%d at 110ms, want 2 (one chain, RTOMin after the redispatch)", s.RTOs)
+	}
+}
+
+func TestSourceBackoffSaturatesAgainstSilentPeer(t *testing.T) {
+	// 16 packets × 7 doublings each: the backoff shift passes 38, where
+	// RTOMin<<shift used to go negative (then 0) and the rest of the window
+	// was retried and abandoned within one virtual instant.
+	eng, s := silentSource(t, 16)
+	var last sim.Time
+	s.OnSubLoss = func(int) {
+		now := eng.Now()
+		if gap := now.Sub(last); gap < 50*time.Millisecond || gap > 500*time.Millisecond {
+			t.Errorf("timeout %d at %v, %v after the previous: outside [RTOMin, RTOMax]", s.RTOs, now, gap)
+		}
+		last = now
+	}
+	eng.RunFor(2 * time.Minute)
+	if s.Abandoned != 16 || s.RTOs != 16*8 {
+		t.Fatalf("abandoned=%d RTOs=%d, want all 16 packets given up after 8 timeouts each", s.Abandoned, s.RTOs)
+	}
+	if n := eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending after the last abandon", n)
+	}
+}

@@ -129,30 +129,21 @@ type Source struct {
 	done   bool
 	doneAt sim.Time
 
-	// Retransmission state: sent-but-unacknowledged packets by index into
-	// packets, trimmed by cumulative acks.
-	unacked  []srcUnacked
-	lastAck  uint32
-	dupAcks  int
-	frSeq    uint32 // highest seq fast-retransmitted: one per hole
-	rtoTimer *sim.Event
-	rtoShift uint
+	// snd is the reliable-MFLOW sender: it buffers what Retransmit sources
+	// have in flight, and measures RTT from echoed timestamps for every
+	// source. Its counters are the embedded SenderStats.
+	snd mflow.Sender[srcPkt]
 
-	AcksReceived    int64
-	PacketsSent     int64
-	Probes          int64 // window probes sent while blocked (Backpressure)
-	Retransmits     int64
-	FastRetransmits int64
-	RTOs            int64
-	Abandoned       int64
-	RTTEWMA         time.Duration
+	AcksReceived int64
+	PacketsSent  int64
+	Probes       int64 // window probes sent while blocked (Backpressure)
+	mflow.SenderStats
 }
 
-type srcUnacked struct {
-	seq     uint32
-	idx     int // index into packets (payload is rebuilt on re-send)
-	tries   int
-	lastSub int // subflow of the most recent transmission
+// srcPkt is what a Source remembers of a packet in flight.
+type srcPkt struct {
+	idx int // index into packets (payload is rebuilt on re-send)
+	sub int // subflow of the most recent transmission
 }
 
 // subflow is one sender endpoint of a multipath source.
@@ -181,6 +172,22 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 		cfg.MaxTries = 8
 	}
 	s := &Source{h: h, cfg: cfg, win: cfg.InitialWindow}
+	s.snd = mflow.NewSender[srcPkt](h.eng, &s.SenderStats, cfg.RTOMin, cfg.RTOMax, cfg.MaxTries)
+	if cfg.Retransmit {
+		// The dispatch policy may move a re-sent packet to a different
+		// subflow than the original.
+		s.snd.Resend = func(seq uint32, p *srcPkt) { p.sub = s.sendPacket(seq, p.idx, true) }
+		s.snd.OnAcked = func(p *srcPkt) {
+			if s.OnSubAck != nil {
+				s.OnSubAck(p.sub)
+			}
+		}
+		s.snd.OnLoss = func(p *srcPkt) {
+			if s.OnSubLoss != nil {
+				s.OnSubLoss(p.sub)
+			}
+		}
+	}
 	clip := cfg.Clip
 	if cfg.Prepared != nil {
 		s.packets, s.frameOf = cfg.Prepared.packets, cfg.Prepared.frameOf
@@ -294,133 +301,15 @@ func (s *Source) onAck(src inet.Participants, payload []byte) {
 	} else if h.Win > s.win {
 		s.win = h.Win
 	}
-	if h.TS > 0 {
-		rtt := s.h.eng.Now().Sub(sim.Time(h.TS))
-		if s.RTTEWMA == 0 {
-			s.RTTEWMA = rtt
-		} else {
-			s.RTTEWMA += (rtt - s.RTTEWMA) / 8
-		}
-	}
-	if s.cfg.Retransmit {
-		s.processAck(h)
-	}
+	s.snd.Ack(h.Seq, h.TS)
 	s.trySend()
 }
 
-// processAck trims the unacked buffer by the cumulative acknowledgment and
-// fast-retransmits on three duplicate acks.
-func (s *Source) processAck(h mflow.Header) {
-	acked := false
-	for len(s.unacked) > 0 && s.unacked[0].seq <= h.Seq {
-		if s.OnSubAck != nil {
-			s.OnSubAck(s.unacked[0].lastSub)
-		}
-		s.unacked = s.unacked[1:]
-		acked = true
-	}
-	switch {
-	case acked:
-		s.rtoShift = 0
-		s.dupAcks = 0
-		s.lastAck = h.Seq
-		s.rearmRTO()
-	case h.Seq == s.lastAck && len(s.unacked) > 0:
-		s.dupAcks++
-		if s.dupAcks >= 3 && s.unacked[0].seq > s.frSeq {
-			// The packet right after the cumulative ack is missing while
-			// later data keeps arriving: re-send it now, not at RTO — but
-			// only once per hole; further duplicates are echoes of data
-			// already in flight (a lost re-send falls back to the RTO).
-			s.frSeq = s.unacked[0].seq
-			s.FastRetransmits++
-			if s.OnSubLoss != nil {
-				s.OnSubLoss(s.unacked[0].lastSub)
-			}
-			s.resend(&s.unacked[0])
-		}
-	default:
-		s.lastAck = h.Seq
-		s.dupAcks = 0
-	}
-}
-
-// resend re-sends one unacknowledged packet with a fresh timestamp; the
-// dispatch policy may move it to a different subflow than the original.
-func (s *Source) resend(u *srcUnacked) {
-	u.tries++
-	s.Retransmits++
-	u.lastSub = s.sendPacket(u.seq, u.idx, true)
-}
-
 // RedispatchUnacked re-sends every unacknowledged packet immediately, in
-// sequence order — the sender half of a path failover. When the dispatch
-// policy retires a subflow (its wire died), everything the dead wire may
-// have swallowed is re-driven through the policy at once, instead of
-// trickling out one RTO at a time; recovering N packets serially at RTOMin
-// each would lose the race against the receiver's hold timeout. Duplicates
-// of packets that did arrive are discarded by the receiver's seq filter.
-func (s *Source) RedispatchUnacked() {
-	if !s.cfg.Retransmit {
-		return
-	}
-	for i := range s.unacked {
-		s.resend(&s.unacked[i])
-	}
-	// Fresh transmissions on (presumably) a fresh path: restart the backoff.
-	s.rtoShift = 0
-	s.rearmRTO()
-}
-
-// rto returns the current retransmission timeout: twice the smoothed RTT,
-// clamped to [RTOMin, RTOMax], doubled per back-to-back timeout.
-func (s *Source) rto() time.Duration {
-	rto := 2 * s.RTTEWMA
-	if rto < s.cfg.RTOMin {
-		rto = s.cfg.RTOMin
-	}
-	rto <<= s.rtoShift
-	if rto > s.cfg.RTOMax {
-		rto = s.cfg.RTOMax
-	}
-	return rto
-}
-
-func (s *Source) armRTO() {
-	s.rtoTimer = s.h.eng.After(s.rto(), s.onRTO)
-}
-
-func (s *Source) rearmRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-		s.rtoTimer = nil
-	}
-	if len(s.unacked) > 0 {
-		s.armRTO()
-	}
-}
-
-func (s *Source) onRTO() {
-	s.rtoTimer = nil
-	if len(s.unacked) == 0 {
-		return
-	}
-	s.RTOs++
-	u := &s.unacked[0]
-	if s.OnSubLoss != nil {
-		s.OnSubLoss(u.lastSub)
-	}
-	if u.tries >= s.cfg.MaxTries {
-		s.Abandoned++
-		s.unacked = s.unacked[1:]
-	} else {
-		s.resend(u)
-		s.rtoShift++
-	}
-	if len(s.unacked) > 0 {
-		s.armRTO()
-	}
-}
+// sequence order, through the dispatch policy — the sender half of a path
+// failover, typically called from OnSubLoss when the policy retires a
+// subflow whose wire died (see mflow.Sender.Redispatch).
+func (s *Source) RedispatchUnacked() { s.snd.Redispatch() }
 
 // sendPacket wraps one prepared ALF packet in an MFLOW data header (fresh
 // timestamp), asks the dispatch policy which subflow carries it, and ships
@@ -470,10 +359,7 @@ func (s *Source) trySend() {
 		s.seq++
 		sub := s.sendPacket(s.seq, s.next, false)
 		if s.cfg.Retransmit {
-			s.unacked = append(s.unacked, srcUnacked{seq: s.seq, idx: s.next, tries: 1, lastSub: sub})
-			if s.rtoTimer == nil {
-				s.armRTO()
-			}
+			s.snd.Sent(s.seq, srcPkt{idx: s.next, sub: sub})
 		}
 		s.next++
 	}

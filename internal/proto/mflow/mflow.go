@@ -83,10 +83,8 @@ type Stats struct {
 	HoldFlushes int64 // reliable: hold buffer flushed with holes outstanding
 
 	// Sender side.
-	AcksSeen    int64
-	Retransmits int64 // data packets re-sent (timeout or fast retransmit)
-	RTOs        int64 // retransmission timeouts fired
-	Abandoned   int64 // packets given up on after MaxTries transmissions
+	AcksSeen int64
+	SenderStats
 }
 
 // Impl is the MFLOW router implementation.
@@ -189,7 +187,7 @@ type flowState struct {
 	// all of them, so advertising one queue's free space would overflow
 	// the others.
 	arrivals []*arrival
-	bwdIface  *core.NetIface // primary path's BWD iface: all upward deliveries
+	bwdIface *core.NetIface // primary path's BWD iface: all upward deliveries
 
 	// observer, when set, sees every data arrival with the subpath it came
 	// in on, the sender→receiver one-way latency on the shared virtual
@@ -197,28 +195,16 @@ type flowState struct {
 	// pathtrace-style quality feed multipath selection policies consume.
 	observer func(sub int, oneWay time.Duration, qdepth int)
 
-	// Sender state.
+	// Sender state. In reliable mode snd buffers, per packet in flight, an
+	// independent copy of the MFLOW header plus payload, ready to re-enter
+	// the path below the MFLOW stage (downstream stages push their own
+	// headers).
 	nextOut  uint32
-	unacked  []*unackedPkt
 	sendWin  uint32
-	srtt     time.Duration
-	rtoTimer *sim.Event
-	rtoShift uint
-	lastAck  uint32
-	dupAcks  int
-	frSeq    uint32 // highest seq fast-retransmitted: one per hole
+	snd      Sender[[]byte]
 	fwdIface *core.NetIface
 
 	stats Stats
-}
-
-// unackedPkt is a sent-but-unacknowledged data packet. data holds an
-// independent copy of the MFLOW header plus payload, ready to re-enter the
-// path below the MFLOW stage (downstream stages push their own headers).
-type unackedPkt struct {
-	seq   uint32
-	data  []byte
-	tries int
 }
 
 // arrival identifies which subpath of a flow an MFLOW packet came in on:
@@ -255,11 +241,13 @@ func (f *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 		joined = true
 	} else {
 		fs = &flowState{impl: f}
+		fs.snd = NewSender[[]byte](f.eng, &fs.stats.SenderStats, f.RTOMin, f.RTOMax, f.MaxTries)
 		if v, ok := a.Get(attr.MFLOWReliable); ok {
 			fs.reliable, _ = v.(bool)
 		}
 		if fs.reliable {
 			fs.held = make(map[uint32]*msg.Msg)
+			fs.snd.Resend = fs.retransmit
 		} else {
 			fs.recent = make(map[uint32]bool)
 		}
@@ -310,10 +298,7 @@ func (fs *flowState) teardown() {
 		fs.holdTimer.Cancel()
 		fs.holdTimer = nil
 	}
-	if fs.rtoTimer != nil {
-		fs.rtoTimer.Cancel()
-		fs.rtoTimer = nil
-	}
+	fs.snd.Stop()
 	// Free in sequence order: the msg pool's free list is LIFO, so the order
 	// buffers return to it is observable in later allocations.
 	seqs := make([]uint32, 0, len(fs.held))
@@ -326,7 +311,6 @@ func (fs *flowState) teardown() {
 		delete(fs.held, s)
 		m.Free()
 	}
-	fs.unacked = nil
 }
 
 // output sends a data packet (Scout as MFLOW sender).
@@ -341,32 +325,19 @@ func (fs *flowState) output(i *core.NetIface, m *msg.Msg) error {
 		// buffer keeps moving down the path and onto the wire).
 		buf := make([]byte, m.Len())
 		copy(buf, m.Bytes())
-		fs.unacked = append(fs.unacked, &unackedPkt{seq: fs.nextOut, data: buf, tries: 1})
+		err := i.DeliverNext(m)
+		fs.snd.Sent(fs.nextOut, buf)
 		// The buffer is bounded by the advertised window: the receiver
 		// accepts nothing beyond it, so older copies past the window plus
 		// a minimal initial credit are dead weight.
 		limit := 32
-		if fs.sendWin > fs.ackedUpTo() {
-			limit += int(fs.sendWin - fs.ackedUpTo())
+		if acked := fs.nextOut - uint32(fs.snd.Outstanding()); fs.sendWin > acked {
+			limit += int(fs.sendWin - acked)
 		}
-		for len(fs.unacked) > limit {
-			fs.unacked[0] = nil
-			fs.unacked = fs.unacked[1:]
-			fs.stats.Abandoned++
-		}
-		if fs.rtoTimer == nil {
-			fs.armRTO()
-		}
+		fs.snd.Trim(limit)
+		return err
 	}
 	return i.DeliverNext(m)
-}
-
-// ackedUpTo returns the highest cumulatively acknowledged sequence number.
-func (fs *flowState) ackedUpTo() uint32 {
-	if len(fs.unacked) > 0 {
-		return fs.unacked[0].seq - 1
-	}
-	return fs.nextOut
 }
 
 // input processes an arriving MFLOW packet: acks feed the sender machinery;
@@ -667,107 +638,22 @@ func (f *Impl) Readvertise(p *core.Path, router string) bool {
 
 // senderAck processes a cumulative acknowledgment on the sending side.
 func (fs *flowState) senderAck(h Header) {
-	f := fs.impl
 	fs.stats.AcksSeen++
 	if h.Win > fs.sendWin {
 		fs.sendWin = h.Win
 	}
-	if h.TS > 0 {
-		rtt := f.eng.Now().Sub(sim.Time(h.TS))
-		if fs.srtt == 0 {
-			fs.srtt = rtt
-		} else {
-			fs.srtt += (rtt - fs.srtt) / 8
-		}
-	}
-	acked := false
-	for len(fs.unacked) > 0 && fs.unacked[0].seq <= h.Seq {
-		fs.unacked[0] = nil
-		fs.unacked = fs.unacked[1:]
-		acked = true
-	}
-	switch {
-	case acked:
-		fs.rtoShift = 0
-		fs.dupAcks = 0
-		fs.lastAck = h.Seq
-		fs.rearmRTO()
-	case h.Seq == fs.lastAck && len(fs.unacked) > 0:
-		fs.dupAcks++
-		if fs.dupAcks >= 3 && fs.unacked[0].seq > fs.frSeq {
-			// Three duplicate acks: the packet after the cumulative ack is
-			// missing while later data keeps arriving. Retransmit it once
-			// per hole — further duplicates are echoes of data already in
-			// flight, and a lost retransmission falls back to the RTO.
-			fs.frSeq = fs.unacked[0].seq
-			fs.retransmit(fs.unacked[0])
-		}
-	default:
-		fs.lastAck = h.Seq
-		fs.dupAcks = 0
-	}
+	fs.snd.Ack(h.Seq, h.TS)
 }
 
 // retransmit re-sends one buffered packet down the path.
-func (fs *flowState) retransmit(u *unackedPkt) {
-	u.tries++
-	fs.stats.Retransmits++
-	m := msg.NewWithHeadroom(64, len(u.data))
-	copy(m.Bytes(), u.data)
+func (fs *flowState) retransmit(_ uint32, data *[]byte) {
+	m := msg.NewWithHeadroom(64, len(*data))
+	copy(m.Bytes(), *data)
 	if fs.fwdIface.Path() != nil {
 		fs.fwdIface.Path().ChargeExec(fs.impl.PerPacketCost)
 	}
 	if err := fs.fwdIface.DeliverNext(m); err != nil {
 		m.Free()
-	}
-}
-
-// rto returns the current retransmission timeout: twice the smoothed RTT,
-// clamped to [RTOMin, RTOMax], doubled per back-to-back timeout.
-func (fs *flowState) rto() time.Duration {
-	f := fs.impl
-	rto := 2 * fs.srtt
-	if rto < f.RTOMin {
-		rto = f.RTOMin
-	}
-	rto <<= fs.rtoShift
-	if rto > f.RTOMax {
-		rto = f.RTOMax
-	}
-	return rto
-}
-
-func (fs *flowState) armRTO() {
-	fs.rtoTimer = fs.impl.eng.After(fs.rto(), fs.onRTO)
-}
-
-func (fs *flowState) rearmRTO() {
-	if fs.rtoTimer != nil {
-		fs.rtoTimer.Cancel()
-		fs.rtoTimer = nil
-	}
-	if len(fs.unacked) > 0 {
-		fs.armRTO()
-	}
-}
-
-func (fs *flowState) onRTO() {
-	fs.rtoTimer = nil
-	if len(fs.unacked) == 0 {
-		return
-	}
-	fs.stats.RTOs++
-	u := fs.unacked[0]
-	if u.tries >= fs.impl.MaxTries {
-		fs.stats.Abandoned++
-		fs.unacked[0] = nil
-		fs.unacked = fs.unacked[1:]
-	} else {
-		fs.retransmit(u)
-		fs.rtoShift++
-	}
-	if len(fs.unacked) > 0 {
-		fs.armRTO()
 	}
 }
 
