@@ -10,8 +10,8 @@ GO ?= go
 # machines. BENCHBASE is the committed baseline benchdiff compares against.
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 5
-BENCHOUT ?= BENCH_pr10.json
-BENCHBASE ?= BENCH_pr7.json
+BENCHOUT ?= BENCH_pr14.json
+BENCHBASE ?= BENCH_pr10.json
 
 .PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke tracegate chaosgate fastgate mpgate miggate scalegate
 

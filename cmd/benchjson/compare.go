@@ -26,10 +26,15 @@ const nsRatioCeil = 1.2
 // Scoutlint's input is this repository's own source, so its wall time grows
 // linearly with every PR; the 2× ceiling only has to catch superlinear
 // (algorithmic) blowups in the analyses.
+// PerHopCopy is three fresh kilobyte buffers per op and nothing else: it
+// times the host's allocator and GC, and the same binary read 1.3–2.1 µs
+// within minutes on the host that recorded 1.03 µs for pr10. Its allocs/op
+// and B/op are exact and gated; the wall ceiling is for rot only.
 var nsCeilOverrides = map[string]float64{
-	"BenchmarkAblation_ILP_On":  1.5,
-	"BenchmarkAblation_ILP_Off": 1.5,
-	"BenchmarkScoutlint":        2.0,
+	"BenchmarkAblation_ILP_On":     1.5,
+	"BenchmarkAblation_ILP_Off":    1.5,
+	"BenchmarkAblation_PerHopCopy": 2.5,
+	"BenchmarkScoutlint":           2.0,
 }
 
 // allocsSlack is the allowed relative allocs/op growth. A zero-alloc

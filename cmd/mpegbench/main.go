@@ -22,6 +22,9 @@
 //	mpegbench -run e15 [-e15-smoke]
 //	                           # sharded-kernel scale sweep + shard-count
 //	                           # invisibility gate (smoke = CI size)
+//	mpegbench -run table1 -cpuprofile cpu.prof -memprofile mem.prof
+//	                           # where the simulator's own wall time and
+//	                           # allocations go (go tool pprof -top)
 package main
 
 import (
@@ -30,6 +33,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"scout/internal/exp"
@@ -47,7 +52,12 @@ func main() {
 	e15Smoke := flag.Bool("e15-smoke", false, "run E15 at CI size (dozens of paths, shards {1,2})")
 	traceOut := flag.String("trace", "", "write E10's highest-load run as Chrome trace_event JSON to this file")
 	metricsOut := flag.String("metrics", "", "write E10's highest-load metrics JSON (pathtop input) to this file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the selected experiments to this file")
 	flag.Parse()
+
+	// An experiment that fails its gate exits at once and leaves no profile.
+	defer startProfiles(*cpuProfile, *memProfile)()
 
 	w := os.Stdout
 	run := func(name string, fn func()) {
@@ -204,4 +214,46 @@ func main() {
 		fmt.Fprintf(w, "§4.1 ILP transformation (UDP checksum fused into MPEG read):\n")
 		fmt.Fprintf(w, "per-packet path CPU: %v without, %v with → %v saved\n", off, on, off-on)
 	})
+}
+
+// startProfiles starts the CPU profile (if asked for) and returns the
+// function that finishes it and writes the allocation profile.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "mpegbench:", err)
+		os.Exit(1)
+	}
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fail(err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fail(err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fail(err)
+		}
+		runtime.GC() // settle the statistics the profile reports
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fail(err)
+		}
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
+	}
 }

@@ -8,6 +8,7 @@ package scout_test
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -219,6 +220,32 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 	inject() // prime decoder state and pools before measuring
 	if allocs := testing.AllocsPerRun(100, inject); allocs != 0 {
 		t.Errorf("steady-state receive allocates %.0f times per frame, want 0", allocs)
+	}
+}
+
+// TestVideoStreamAllocsPerFrame gates the whole data path, not just the
+// receive side: one Neptune cost-model stream at maximum rate — source host,
+// wire, kernel, scheduler, display, acks back — boot and clip preparation
+// included. What remains per frame is the sender's one message per packet
+// (buffer and view) and the decoder's frame; events, completions, timers and
+// header copies are free. Before events were re-armed in place and packets
+// built once this read 103.
+func TestVideoStreamAllocsPerFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under the race detector")
+	}
+	const budget = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fps := exp.ScoutMaxRate(mpeg.Neptune, false)
+	runtime.ReadMemStats(&after)
+	if fps <= 0 {
+		t.Fatal("stream displayed nothing")
+	}
+	perFrame := float64(after.Mallocs-before.Mallocs) / float64(mpeg.Neptune.Frames)
+	t.Logf("%.1f allocations per displayed frame", perFrame)
+	if perFrame > budget {
+		t.Errorf("video stream allocates %.1f times per displayed frame, budget %d", perFrame, budget)
 	}
 }
 

@@ -118,7 +118,7 @@ func (h *Host) handleIP(b []byte) {
 	if err != nil || ih.Dst != h.Addr || ih.Fragmented() {
 		return // hosts do not reassemble; sources never receive fragments
 	}
-	if int(ih.TotalLen) > len(b) {
+	if int(ih.TotalLen) < ip.HeaderLen || int(ih.TotalLen) > len(b) {
 		return
 	}
 	body := b[ip.HeaderLen:ih.TotalLen]
@@ -127,7 +127,7 @@ func (h *Host) handleIP(b []byte) {
 		h.handleTCP(ih, body)
 	case inet.ProtoUDP:
 		uh, err := udp.Parse(body)
-		if err != nil || int(uh.Length) > len(body) {
+		if err != nil || int(uh.Length) < udp.HeaderLen || int(uh.Length) > len(body) {
 			return
 		}
 		fn, ok := h.udpHandlers[uh.DstPort]
@@ -247,6 +247,16 @@ func (h *Host) handleARP(b []byte) {
 	}
 }
 
+// A packet is built once: its payload is written into one message that
+// already has room in front for every header below it, and each layer pushes
+// its header into that headroom. The []byte entry points (SendFrame,
+// SendUDP, sendIP, sendICMP) copy their argument into such a message and
+// join the same path.
+const (
+	ipHeadroom  = eth.HeaderLen + ip.HeaderLen // in front of an IP body
+	udpHeadroom = ipHeadroom + udp.HeaderLen   // in front of a UDP payload
+)
+
 // SendFrame transmits a raw Ethernet payload (tests use it to inject
 // hand-built packets such as IP fragments).
 func (h *Host) SendFrame(dst netdev.MAC, etherType uint16, payload []byte) {
@@ -256,35 +266,59 @@ func (h *Host) SendFrame(dst netdev.MAC, etherType uint16, payload []byte) {
 func (h *Host) sendFrame(dst netdev.MAC, etherType uint16, payload []byte) {
 	m := msg.NewWithHeadroom(eth.HeaderLen, len(payload))
 	copy(m.Bytes(), payload)
+	h.transmitFrame(dst, etherType, m)
+}
+
+// transmitFrame puts the Ethernet header in front of m and sends the frame.
+func (h *Host) transmitFrame(dst netdev.MAC, etherType uint16, m *msg.Msg) {
 	eth.Header{Dst: dst, Src: h.Dev.Addr, Type: etherType}.Put(m.Push(eth.HeaderLen))
 	h.Dev.Transmit(dst, m)
 }
 
 // sendIP wraps body in an IP header and transmits it (resolving via ARP).
 func (h *Host) sendIP(dst inet.Addr, proto uint8, body []byte) {
-	h.Resolve(dst, func(mac netdev.MAC) {
-		h.ipID++
-		pkt := make([]byte, ip.HeaderLen+len(body))
-		ih := ip.Header{
-			TotalLen: uint16(len(pkt)),
-			ID:       h.ipID,
-			TTL:      64,
-			Proto:    proto,
-			Src:      h.Addr,
-			Dst:      dst,
-		}
-		ih.Put(pkt[:ip.HeaderLen])
-		copy(pkt[ip.HeaderLen:], body)
-		h.sendFrame(mac, inet.EtherTypeIP, pkt)
-	})
+	m := msg.NewWithHeadroom(ipHeadroom, len(body))
+	copy(m.Bytes(), body)
+	h.transmitIP(dst, proto, m)
+}
+
+// transmitIP sends the IP body m to dst. The IP ID is assigned when the
+// destination's MAC is known, so packets queued behind an ARP exchange are
+// numbered in the order they leave; only such a packet costs a closure.
+func (h *Host) transmitIP(dst inet.Addr, proto uint8, m *msg.Msg) {
+	if mac, ok := h.arpCache[dst]; ok {
+		h.emitIP(mac, dst, proto, m)
+		return
+	}
+	h.Resolve(dst, func(mac netdev.MAC) { h.emitIP(mac, dst, proto, m) })
+}
+
+func (h *Host) emitIP(mac netdev.MAC, dst inet.Addr, proto uint8, m *msg.Msg) {
+	h.ipID++
+	ip.Header{
+		TotalLen: uint16(ip.HeaderLen + m.Len()),
+		ID:       h.ipID,
+		TTL:      64,
+		Proto:    proto,
+		Src:      h.Addr,
+		Dst:      dst,
+	}.Put(m.Push(ip.HeaderLen))
+	h.transmitFrame(mac, inet.EtherTypeIP, m)
 }
 
 // SendUDP transmits one datagram.
 func (h *Host) SendUDP(dst inet.Addr, dstPort, srcPort uint16, payload []byte) {
-	dg := make([]byte, udp.HeaderLen+len(payload))
-	uh := udp.Header{SrcPort: srcPort, DstPort: dstPort, Length: uint16(len(dg))}
-	uh.Put(dg[:udp.HeaderLen])
-	copy(dg[udp.HeaderLen:], payload)
+	m := msg.NewWithHeadroom(udpHeadroom, len(payload))
+	copy(m.Bytes(), payload)
+	h.transmitUDP(dst, dstPort, srcPort, m)
+}
+
+// transmitUDP sends the UDP payload m, which must have udpHeadroom in front.
+// The checksum runs over the datagram where it lies.
+func (h *Host) transmitUDP(dst inet.Addr, dstPort, srcPort uint16, m *msg.Msg) {
+	m.Push(udp.HeaderLen)
+	dg := m.Bytes()
+	udp.Header{SrcPort: srcPort, DstPort: dstPort, Length: uint16(len(dg))}.Put(dg)
 	if h.UDPChecksum {
 		ck := inet.ChecksumPseudo(h.Addr, dst, inet.ProtoUDP, dg)
 		if ck == 0 {
@@ -293,7 +327,7 @@ func (h *Host) SendUDP(dst inet.Addr, dstPort, srcPort uint16, payload []byte) {
 		binary.BigEndian.PutUint16(dg[6:8], ck)
 	}
 	h.UDPSent++
-	h.sendIP(dst, inet.ProtoUDP, dg)
+	h.transmitIP(dst, inet.ProtoUDP, m)
 }
 
 // SendEcho transmits one ICMP echo request with a payload of size bytes.
@@ -303,10 +337,11 @@ func (h *Host) SendEcho(dst inet.Addr, id, seq uint16, size int) {
 }
 
 func (h *Host) sendICMP(dst inet.Addr, e icmp.Echo, payload []byte) {
-	body := make([]byte, icmp.HeaderLen+len(payload))
+	m := msg.NewWithHeadroom(ipHeadroom, icmp.HeaderLen+len(payload))
+	body := m.Bytes()
 	copy(body[icmp.HeaderLen:], payload)
 	e.Put(body[:icmp.HeaderLen], body[icmp.HeaderLen:])
-	h.sendIP(dst, inet.ProtoICMP, body)
+	h.transmitIP(dst, inet.ProtoICMP, m)
 }
 
 // Flood sends ICMP echo requests at a fixed rate — the reproduction of

@@ -1,13 +1,19 @@
 package host
 
 import (
+	"encoding/hex"
+	"strings"
 	"testing"
 	"time"
 
 	"scout/internal/mpeg"
+	"scout/internal/msg"
 	"scout/internal/netdev"
+	"scout/internal/proto/eth"
 	"scout/internal/proto/inet"
+	"scout/internal/proto/ip"
 	"scout/internal/proto/mflow"
+	"scout/internal/proto/udp"
 	"scout/internal/sim"
 )
 
@@ -265,5 +271,86 @@ func TestSourceBackoffSaturatesAgainstSilentPeer(t *testing.T) {
 	}
 	if n := eng.Pending(); n != 0 {
 		t.Fatalf("%d events pending after the last abandon", n)
+	}
+}
+
+// TestHandleIPDropsBadLengths feeds handleIP datagrams whose length fields
+// lie. Hosts do not verify the UDP checksum, so a wire fault that flips a bit
+// in an ack's length field reaches these lines; every such datagram must be
+// dropped like any other malformed one, not slice out of range.
+func TestHandleIPDropsBadLengths(t *testing.T) {
+	_, a, b := twoHosts(t)
+	delivered := 0
+	b.OnUDP(9000, func(inet.Participants, []byte) { delivered++ })
+	// datagram builds a valid 4-byte-payload UDP/IP packet to b, then
+	// overwrites the IP total length and UDP length (-1 keeps the true one).
+	datagram := func(totalLen, udpLen int) []byte {
+		pkt := make([]byte, ip.HeaderLen+udp.HeaderLen+4)
+		if totalLen < 0 {
+			totalLen = len(pkt)
+		}
+		if udpLen < 0 {
+			udpLen = udp.HeaderLen + 4
+		}
+		ip.Header{TotalLen: uint16(totalLen), ID: 1, TTL: 64, Proto: inet.ProtoUDP, Src: a.Addr, Dst: b.Addr}.Put(pkt)
+		udp.Header{SrcPort: 9001, DstPort: 9000, Length: uint16(udpLen)}.Put(pkt[ip.HeaderLen:])
+		return pkt
+	}
+	for _, tc := range []struct {
+		name             string
+		totalLen, udpLen int
+		want             int
+	}{
+		{"well-formed", -1, -1, 1},
+		{"TotalLen 0", 0, -1, 0},
+		{"TotalLen 5", 5, -1, 0},
+		{"TotalLen 19", 19, -1, 0},
+		{"TotalLen past the frame", 1500, -1, 0},
+		{"UDP Length 0", -1, 0, 0},
+		{"UDP Length 3", -1, 3, 0},
+		{"UDP Length 7", -1, 7, 0},
+		{"UDP Length past the body", -1, udp.HeaderLen + 5, 0},
+	} {
+		delivered = 0
+		b.handleIP(datagram(tc.totalLen, tc.udpLen))
+		if delivered != tc.want {
+			t.Errorf("%s: delivered %d datagrams, want %d", tc.name, delivered, tc.want)
+		}
+	}
+}
+
+// TestSourceWireBytesGolden pins the frame a Source puts on the wire for a
+// fixed (seq, timestamp, ALF packet), byte for byte: Ethernet, IP (ID 3: the
+// third packet to leave once ARP resolved), UDP with its checksum, MFLOW and
+// ALF headers, zero payload. The hex was captured before the sender built
+// its packets in place.
+func TestSourceWireBytesGolden(t *testing.T) {
+	const golden = "020000000002" + "020000000001" + "0800" + // eth
+		"4500007e000300004011666a0a0000010a000002" + // ip, ID 3
+		"1b581f40006aff5b" + // udp 7000 -> 8000, checksum ff5b
+		"01" + "00000003" + "00000000" + "000000000012d687" + // mflow data, seq 3, TS 1234567
+		"00000000" + "49" + "01" + "0403" + "0002" + "0001" + "000c" + "00" // alf: frame 0, I, 1 of 12 macroblocks from 2
+	eng, a, b := twoHosts(t)
+	var frames [][]byte
+	recv := b.Dev.OnReceive
+	b.Dev.OnReceive = func(m *msg.Msg) {
+		if fh, err := eth.Parse(m.Bytes()); err == nil && fh.Type == inet.EtherTypeIP {
+			frames = append(frames, append([]byte(nil), m.Bytes()...))
+		}
+		recv(m)
+	}
+	clip := mpeg.ClipSpec{Name: "T", Frames: 4, W: 64, H: 48, FPS: 30, GOP: 5, AvgPBits: 2400, Jitter: 0.3}
+	s, err := NewSource(a, SourceConfig{Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, PayloadBudget: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.At(sim.Time(1234567), func() { s.Start(b.Addr, 8000) })
+	eng.RunFor(time.Second)
+	if len(frames) < 3 {
+		t.Fatalf("captured %d IP frames, want at least 3", len(frames))
+	}
+	want := golden + strings.Repeat("00", 66) // the synthetic ALF payload
+	if got := hex.EncodeToString(frames[2]); got != want {
+		t.Fatalf("third frame on the wire:\n got %s\nwant %s", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"scout/internal/mpeg"
+	"scout/internal/msg"
 	"scout/internal/proto/inet"
 	"scout/internal/proto/mflow"
 	"scout/internal/sim"
@@ -65,8 +66,8 @@ type SourceConfig struct {
 	// Prepared, when set, supplies the packet stream directly and skips
 	// preparation; Clip/CostOnly/PayloadBudget/Seed are ignored. The scale
 	// experiments share one PrepareClip result across 10^5 sources — the
-	// templates are immutable (sendPacket copies into a fresh payload), so
-	// sharing is safe even across cluster shards.
+	// templates are immutable (sendPacket copies them into each outgoing
+	// message), so sharing is safe even across cluster shards.
 	Prepared *Prepared
 }
 
@@ -82,14 +83,29 @@ func (p *Prepared) NumPackets() int { return len(p.packets) }
 
 // PrepareClip builds the cost-model packet stream for clip exactly as a
 // CostOnly NewSource would.
+//
+// The whole stream lives in one zeroed slab: the synthetic payloads are all
+// zero bytes, so only the 15-byte ALF headers are ever written.
 func PrepareClip(clip mpeg.ClipSpec, payloadBudget int, seed int64) *Prepared {
-	p := &Prepared{}
 	mbw, mbh := clip.W/16, clip.H/16
-	for fno, info := range clip.Trace(seed) {
-		for _, pk := range mpeg.TracePackets(uint32(fno), info, mbw, mbh, payloadBudget) {
-			p.packets = append(p.packets, pk.Marshal())
+	trace := clip.Trace(seed)
+	n, size := 0, 0
+	for fno, info := range trace {
+		mpeg.TraceLayout(uint32(fno), info, mbw, mbh, payloadBudget, func(_ mpeg.Packet, payload int) {
+			n++
+			size += mpeg.PacketHeaderLen + payload
+		})
+	}
+	p := &Prepared{packets: make([][]byte, 0, n), frameOf: make([]int, 0, n)}
+	slab := make([]byte, size)
+	for fno, info := range trace {
+		mpeg.TraceLayout(uint32(fno), info, mbw, mbh, payloadBudget, func(hdr mpeg.Packet, payload int) {
+			end := mpeg.PacketHeaderLen + payload
+			hdr.PutHeader(slab)
+			p.packets = append(p.packets, slab[:end:end])
 			p.frameOf = append(p.frameOf, fno)
-		}
+			slab = slab[end:]
+		})
 	}
 	return p
 }
@@ -118,13 +134,16 @@ type Source struct {
 	dst     inet.Addr
 	dstPort uint16
 
-	packets  [][]byte // marshalled ALF packets, in order
-	frameOf  []int    // frame index of each packet
-	next     int
-	seq      uint32
-	win      uint32
-	started  sim.Time
-	waitTick *sim.Event
+	packets [][]byte // marshalled ALF packets, in order
+	frameOf []int    // frame index of each packet
+	next    int
+	seq     uint32
+	win     uint32
+	started sim.Time
+	// waitTick is the one pacing/probe timer, re-armed in place. Pacing arms
+	// it once per frame, so that callback is bound once.
+	waitTick  sim.Event
+	trySendFn func()
 
 	done   bool
 	doneAt sim.Time
@@ -172,6 +191,7 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 		cfg.MaxTries = 8
 	}
 	s := &Source{h: h, cfg: cfg, win: cfg.InitialWindow}
+	s.trySendFn = s.trySend
 	s.snd = mflow.NewSender[srcPkt](h.eng, &s.SenderStats, cfg.RTOMin, cfg.RTOMax, cfg.MaxTries)
 	if cfg.Retransmit {
 		// The dispatch policy may move a re-sent packet to a different
@@ -189,16 +209,12 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 		}
 	}
 	clip := cfg.Clip
-	if cfg.Prepared != nil {
-		s.packets, s.frameOf = cfg.Prepared.packets, cfg.Prepared.frameOf
-	} else if cfg.CostOnly {
-		mbw, mbh := clip.W/16, clip.H/16
-		for fno, info := range clip.Trace(cfg.Seed) {
-			for _, p := range mpeg.TracePackets(uint32(fno), info, mbw, mbh, cfg.PayloadBudget) {
-				s.packets = append(s.packets, p.Marshal())
-				s.frameOf = append(s.frameOf, fno)
-			}
-		}
+	prep := cfg.Prepared
+	if prep == nil && cfg.CostOnly {
+		prep = PrepareClip(clip, cfg.PayloadBudget, cfg.Seed)
+	}
+	if prep != nil {
+		s.packets, s.frameOf = prep.packets, prep.frameOf
 	} else {
 		qs := cfg.QScale
 		if qs == 0 {
@@ -313,7 +329,8 @@ func (s *Source) RedispatchUnacked() { s.snd.Redispatch() }
 
 // sendPacket wraps one prepared ALF packet in an MFLOW data header (fresh
 // timestamp), asks the dispatch policy which subflow carries it, and ships
-// it to the Scout host. Returns the subflow used.
+// it to the Scout host. The MFLOW header and the ALF bytes go straight into
+// the message that reaches the wire. Returns the subflow used.
 func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
 	sub := 0
 	if s.Dispatch != nil {
@@ -323,14 +340,15 @@ func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
 		sub = 0
 	}
 	alf := s.packets[idx]
-	payload := make([]byte, mflow.HeaderLen+len(alf))
+	m := msg.NewWithHeadroom(udpHeadroom, mflow.HeaderLen+len(alf))
+	payload := m.Bytes()
 	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(s.h.eng.Now())}.Put(payload[:mflow.HeaderLen])
 	copy(payload[mflow.HeaderLen:], alf)
 	h, port := s.h, s.cfg.SrcPort
 	if len(s.subs) > 0 {
 		h, port = s.subs[sub].h, s.subs[sub].port
 	}
-	h.SendUDP(s.dst, s.dstPort, port, payload)
+	h.transmitUDP(s.dst, s.dstPort, port, m)
 	s.PacketsSent++
 	return sub
 }
@@ -349,10 +367,7 @@ func (s *Source) trySend() {
 			due := s.started.Add(time.Duration(s.frameOf[s.next]) * time.Second / time.Duration(fps))
 			now := s.h.eng.Now()
 			if now < due {
-				if s.waitTick != nil {
-					s.waitTick.Cancel()
-				}
-				s.waitTick = s.h.eng.At(due, s.trySend)
+				s.h.eng.Rearm(&s.waitTick, due, s.trySendFn)
 				return
 			}
 		}
@@ -377,18 +392,18 @@ func (s *Source) trySend() {
 		// the probe tail-drops and nothing of value is lost. Shed runs
 		// don't stall the probe loop: early-discarded packets still
 		// advance the advertised window (mflow.NoteShed).
-		if s.waitTick != nil {
-			s.waitTick.Cancel()
-		}
-		s.waitTick = s.h.eng.After(s.cfg.RTOMin, func() {
-			if s.done {
-				return
-			}
-			if s.seq+1 > s.win && s.next > 0 {
-				s.Probes++
-				s.sendPacket(s.seq, s.next-1, true)
-			}
-			s.trySend() // re-arms the probe while still blocked
-		})
+		s.h.eng.Rearm(&s.waitTick, s.h.eng.Now().Add(s.cfg.RTOMin), s.probe)
 	}
+}
+
+// probe is the blocked sender's persist timer firing.
+func (s *Source) probe() {
+	if s.done {
+		return
+	}
+	if s.seq+1 > s.win && s.next > 0 {
+		s.Probes++
+		s.sendPacket(s.seq, s.next-1, true)
+	}
+	s.trySend() // re-arms the probe while still blocked
 }

@@ -65,11 +65,12 @@ func (d *HeaderDecoder) finish(complete bool) TraceFrame {
 	return TraceFrame{No: d.frameNo, Kind: d.kind, Bits: d.bits, Complete: complete}
 }
 
-// TracePackets expands a traced frame into ALF packets with synthetic
-// payloads: the frame's bits are spread over MTU-budget packets with valid
-// headers, so the whole network path (including UDP checksums) is exercised
-// while pixel decode is replaced by the cost model.
-func TracePackets(frameNo uint32, info FrameInfo, mbw, mbh, payloadBudget int) []*Packet {
+// TraceLayout packetises a traced frame: it calls emit once per ALF packet,
+// in order, with the packet's header fields (Data nil) and the size of its
+// synthetic payload. The frame's bits are spread over MTU-budget packets with
+// valid headers, so the whole network path (including UDP checksums) is
+// exercised while pixel decode is replaced by the cost model.
+func TraceLayout(frameNo uint32, info FrameInfo, mbw, mbh, payloadBudget int, emit func(hdr Packet, size int)) {
 	if payloadBudget <= 0 {
 		payloadBudget = DefaultPayloadBudget
 	}
@@ -85,7 +86,6 @@ func TracePackets(frameNo uint32, info FrameInfo, mbw, mbh, payloadBudget int) [
 	if n < 1 {
 		n = 1
 	}
-	pkts := make([]*Packet, 0, n)
 	mbStart := 0
 	for i := 0; i < n; i++ {
 		sz := bytes / n
@@ -96,7 +96,7 @@ func TracePackets(frameNo uint32, info FrameInfo, mbw, mbh, payloadBudget int) [
 		if i == n-1 {
 			mbs = total - mbStart
 		}
-		pkts = append(pkts, &Packet{
+		emit(Packet{
 			FrameNo: frameNo,
 			Kind:    info.Kind,
 			QScale:  1,
@@ -105,9 +105,18 @@ func TracePackets(frameNo uint32, info FrameInfo, mbw, mbh, payloadBudget int) [
 			MBStart: uint16(mbStart),
 			MBCount: uint16(mbs),
 			TotalMB: uint16(total),
-			Data:    make([]byte, sz),
-		})
+		}, sz)
 		mbStart += mbs
 	}
+}
+
+// TracePackets expands a traced frame into ALF packets with zeroed payloads
+// of the sizes TraceLayout assigns.
+func TracePackets(frameNo uint32, info FrameInfo, mbw, mbh, payloadBudget int) []*Packet {
+	var pkts []*Packet
+	TraceLayout(frameNo, info, mbw, mbh, payloadBudget, func(hdr Packet, size int) {
+		hdr.Data = make([]byte, size)
+		pkts = append(pkts, &hdr)
+	})
 	return pkts
 }

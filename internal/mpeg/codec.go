@@ -215,6 +215,13 @@ const PacketHeaderLen = 15
 // Marshal serializes the packet.
 func (p *Packet) Marshal() []byte {
 	b := make([]byte, PacketHeaderLen+len(p.Data))
+	p.PutHeader(b)
+	copy(b[PacketHeaderLen:], p.Data)
+	return b
+}
+
+// PutHeader writes the packet header into b[:PacketHeaderLen].
+func (p *Packet) PutHeader(b []byte) {
 	binary.BigEndian.PutUint32(b[0:4], p.FrameNo)
 	b[4] = byte(p.Kind)
 	b[5] = p.QScale
@@ -223,8 +230,6 @@ func (p *Packet) Marshal() []byte {
 	binary.BigEndian.PutUint16(b[10:12], p.MBCount)
 	binary.BigEndian.PutUint16(b[12:14], p.TotalMB)
 	b[14] = 0 // reserved
-	copy(b[PacketHeaderLen:], p.Data)
-	return b
 }
 
 // ParsePacket deserializes a packet; Data aliases b.

@@ -248,7 +248,7 @@ func (l *Link) schedule(src *Device, dst MAC, m *msg.Msg, txEnd sim.Time, fs *fa
 	// ring). Asking the engine what else is pending would make the event
 	// count depend on what shares the shard.
 	if l.n == 0 || arrive != l.lastArrival {
-		l.eng.At(arrive, l.arriveFn)
+		l.eng.Schedule(arrive, l.arriveFn)
 	}
 	l.lastArrival = arrive
 	if l.n == len(l.ring) {

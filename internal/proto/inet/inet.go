@@ -6,6 +6,7 @@ package inet
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"scout/internal/attr"
 )
@@ -67,18 +68,7 @@ const (
 
 // Checksum computes the Internet checksum (RFC 1071) over b.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
+	return ^fold(sum(0, b))
 }
 
 // ChecksumPseudo computes the checksum of payload prefixed by the UDP/TCP
@@ -87,25 +77,43 @@ func Checksum(b []byte) uint16 {
 // prefixed copy of the payload — this runs once per checksummed packet on
 // the data path and must not allocate.
 func ChecksumPseudo(src, dst Addr, proto uint8, payload []byte) uint16 {
-	var sum uint32
-	sum += uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(proto) // zero byte then proto, as on the wire
-	sum += uint32(uint16(len(payload)))
-	b := payload
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
-		b = b[2:]
+	pseudo := uint64(src[0])<<8 | uint64(src[1])
+	pseudo += uint64(src[2])<<8 | uint64(src[3])
+	pseudo += uint64(dst[0])<<8 | uint64(dst[1])
+	pseudo += uint64(dst[2])<<8 | uint64(dst[3])
+	pseudo += uint64(proto) // zero byte then proto, as on the wire
+	pseudo += uint64(uint16(len(payload)))
+	return ^fold(sum(pseudo, payload))
+}
+
+// sum adds the 16-bit big-endian words of b (an odd last byte padded with a
+// zero) to the one's-complement accumulator acc, eight bytes per step. A
+// 64-bit big-endian load is four such words side by side, and since
+// 2^16 ≡ 1 (mod 2^16−1) adding whole loads with end-around carry and folding
+// the halves together at the end gives the same sum as adding the words one
+// by one (RFC 1071 §2).
+func sum(acc uint64, b []byte) uint64 {
+	var carry uint64
+	for len(b) >= 8 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+	if len(b) > 0 {
+		var tail [8]byte
+		copy(tail[:], b)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(tail[:]), carry)
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+	acc, carry = bits.Add64(acc, 0, carry)
+	return acc + carry
+}
+
+// fold reduces a one's-complement accumulator to 16 bits.
+func fold(acc uint64) uint16 {
+	acc = acc>>48 + acc>>32&0xffff + acc>>16&0xffff + acc&0xffff
+	for acc>>16 != 0 {
+		acc = acc>>16 + acc&0xffff
 	}
-	return ^uint16(sum)
+	return uint16(acc)
 }
 
 // Attribute names used by the networking routers beyond the paper-named

@@ -1,6 +1,9 @@
 package inet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -93,4 +96,69 @@ func TestPropertyChecksumSelfVerifies(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checksum16 and checksumPseudo16 are the textbook word-at-a-time Internet
+// checksum: the oracle the eight-bytes-per-step implementation must match bit
+// for bit.
+func checksum16(sum uint32, b []byte) uint16 {
+	for len(b) >= 2 {
+		sum += uint32(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		sum += uint32(b[0]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = (sum & 0xffff) + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+func checksumPseudo16(src, dst Addr, proto uint8, payload []byte) uint16 {
+	var sum uint32
+	sum += uint32(src[0])<<8 | uint32(src[1])
+	sum += uint32(src[2])<<8 | uint32(src[3])
+	sum += uint32(dst[0])<<8 | uint32(dst[1])
+	sum += uint32(dst[2])<<8 | uint32(dst[3])
+	sum += uint32(proto)
+	sum += uint32(uint16(len(payload)))
+	return checksum16(sum, payload)
+}
+
+func checkAgainstOracle(t *testing.T, b []byte) {
+	t.Helper()
+	if got, want := Checksum(b), checksum16(0, b); got != want {
+		t.Fatalf("Checksum over %d bytes = %#04x, word-at-a-time oracle says %#04x", len(b), got, want)
+	}
+	src, dst := IP(10, 0, 0, 1), IP(255, 255, 255, 255)
+	if got, want := ChecksumPseudo(src, dst, ProtoUDP, b), checksumPseudo16(src, dst, ProtoUDP, b); got != want {
+		t.Fatalf("ChecksumPseudo over %d bytes = %#04x, word-at-a-time oracle says %#04x", len(b), got, want)
+	}
+}
+
+// checksumCorpus is every length a frame can have (odd ones included) in
+// three fills: zeros, all-0xff (every add carries) and random.
+func checksumCorpus(visit func([]byte)) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 1600; n++ {
+		visit(make([]byte, n))
+		visit(bytes.Repeat([]byte{0xff}, n))
+		b := make([]byte, n)
+		rng.Read(b)
+		visit(b)
+	}
+}
+
+func TestChecksumMatchesWordOracle(t *testing.T) {
+	checksumCorpus(func(b []byte) { checkAgainstOracle(t, b) })
+}
+
+func FuzzChecksum(f *testing.F) {
+	checksumCorpus(func(b []byte) {
+		if len(b)%97 == 0 { // a spread of lengths; the test above walks them all
+			f.Add(b)
+		}
+	})
+	f.Fuzz(func(t *testing.T, b []byte) { checkAgainstOracle(t, b) })
 }

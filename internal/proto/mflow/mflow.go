@@ -177,7 +177,7 @@ type flowState struct {
 	winCap    uint32 // advertised-window cap beyond cumSeq (0 = uncapped)
 	recent    map[uint32]bool
 	held      map[uint32]*msg.Msg
-	holdTimer *sim.Event
+	holdTimer sim.Event // owner-held, re-armed in place
 	sinceAck  int
 	lastTS    int64
 	inQ       *core.Queue
@@ -294,10 +294,7 @@ func (f *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 
 // teardown cancels timers and frees buffered packets at path deletion.
 func (fs *flowState) teardown() {
-	if fs.holdTimer != nil {
-		fs.holdTimer.Cancel()
-		fs.holdTimer = nil
-	}
+	fs.holdTimer.Cancel()
 	fs.snd.Stop()
 	// Free in sequence order: the msg pool's free list is LIFO, so the order
 	// buffers return to it is observable in later allocations.
@@ -468,18 +465,13 @@ func (fs *flowState) drainHeld() {
 // striping, where the hold buffer is almost never empty.
 func (fs *flowState) rearmHold() {
 	if len(fs.held) == 0 {
-		if fs.holdTimer != nil {
-			fs.holdTimer.Cancel()
-			fs.holdTimer = nil
-		}
+		fs.holdTimer.Cancel()
 		return
 	}
-	if fs.holdTimer == nil || fs.holdSeq != fs.cumSeq {
-		if fs.holdTimer != nil {
-			fs.holdTimer.Cancel()
-		}
+	if !fs.holdTimer.Queued() || fs.holdSeq != fs.cumSeq {
 		fs.holdSeq = fs.cumSeq
-		fs.holdTimer = fs.impl.eng.After(fs.impl.HoldTimeout, fs.onHoldTimeout)
+		eng := fs.impl.eng
+		eng.Rearm(&fs.holdTimer, eng.Now().Add(fs.impl.HoldTimeout), fs.onHoldTimeout)
 	}
 }
 
@@ -489,7 +481,6 @@ func (fs *flowState) rearmHold() {
 // timeout must out-wait that — and flushing the whole buffer would turn
 // one unlucky packet into a burst of application-visible gaps).
 func (fs *flowState) onHoldTimeout() {
-	fs.holdTimer = nil
 	if len(fs.held) == 0 {
 		return
 	}
@@ -527,10 +518,7 @@ func (fs *flowState) flushHeld() {
 		fs.stats.Delivered++
 		_ = fs.bwdIface.DeliverNext(m) // on error the upper stage freed m
 	}
-	if fs.holdTimer != nil {
-		fs.holdTimer.Cancel()
-		fs.holdTimer = nil
-	}
+	fs.holdTimer.Cancel()
 }
 
 // markDelivered records an arrival-order delivery and advances the

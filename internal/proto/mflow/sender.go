@@ -45,8 +45,9 @@ type Sender[T any] struct {
 	// Every flow and source embeds a Sender, reliable or not; the small
 	// fields are sized and ordered to pack.
 	out       []outstanding[T] // ascending seq; trimmed from the front
-	timer     *sim.Event
-	shift     uint // RTO doublings since the last ack progress
+	timer     sim.Event        // the one RTO timer, re-armed in place
+	onRTOFn   func()           // s.onRTO, bound at first arm (the Sender has settled by then)
+	shift     uint             // RTO doublings since the last ack progress
 	lastAck   uint32
 	frSeq     uint32 // highest seq fast-retransmitted: one per hole
 	dupAcks   int32
@@ -75,7 +76,7 @@ func (s *Sender[T]) Outstanding() int { return len(s.out) }
 // its way: the timer is armed here, and event order is observable.
 func (s *Sender[T]) Sent(seq uint32, v T) {
 	s.out = append(s.out, outstanding[T]{seq: seq, tries: 1, v: v})
-	if s.timer == nil {
+	if !s.timer.Queued() {
 		s.arm()
 	}
 }
@@ -189,21 +190,23 @@ func (s *Sender[T]) rto() time.Duration {
 }
 
 func (s *Sender[T]) arm() {
-	s.timer = s.eng.After(s.rto(), s.onRTO)
+	if s.onRTOFn == nil {
+		s.onRTOFn = s.onRTO
+	}
+	s.eng.Rearm(&s.timer, s.eng.Now().Add(s.rto()), s.onRTOFn)
 }
 
+// rearm restarts the timer from now while packets are outstanding, and
+// cancels it otherwise.
 func (s *Sender[T]) rearm() {
-	if s.timer != nil {
-		s.timer.Cancel()
-		s.timer = nil
-	}
 	if len(s.out) > 0 {
 		s.arm()
+	} else {
+		s.timer.Cancel()
 	}
 }
 
 func (s *Sender[T]) onRTO() {
-	s.timer = nil
 	if len(s.out) == 0 {
 		return
 	}

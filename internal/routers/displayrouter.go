@@ -64,6 +64,7 @@ type displayStage struct {
 	path    *core.Path
 	sink    *display.Sink
 	thread  *sched.Thread
+	done    func() // the thread's completion callback (see flusher)
 	pending []*display.Frame
 	period  time.Duration
 	cpuAcc  time.Duration // CPU since the last completed frame
@@ -123,6 +124,7 @@ func (d *DisplayImpl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*co
 		}
 		sd.thread = d.cpu.NewThread(fmt.Sprintf("video-%d", p.PID), sched.PolicyRR, sd.run)
 		sd.thread.AttachPath(p)
+		sd.done = sd.flusher(p.Q[core.QInBWD], sd.thread)
 		p.Q[core.QInBWD].NotEmpty = sd.thread.Wake
 		sd.sink.OnDrain = sd.thread.Wake
 		d.installWakeup(p, sd, a)
@@ -206,7 +208,7 @@ func (sd *displayStage) inDeadline() sim.Time {
 // output queue is full — "if the output queue is full already, there is
 // little point in scheduling a thread to process a packet in the input
 // queue" (§4.1).
-func (sd *displayStage) run(t *sched.Thread) (time.Duration, func()) {
+func (sd *displayStage) run(*sched.Thread) (time.Duration, func()) {
 	p := sd.path
 	if p.Dead() || p.Paused() {
 		return 0, nil // Resume refires the input queue's NotEmpty hook
@@ -228,7 +230,17 @@ func (sd *displayStage) run(t *sched.Thread) (time.Duration, func()) {
 	}
 	cost := p.TakeExecCost()
 	sd.cpuAcc += cost
-	return cost, func() {
+	return cost, sd.done
+}
+
+// flusher builds the completion callback of a worker thread t that feeds
+// this stage from inQ — once per thread, since it runs after every packet.
+// It moves the frames the execution completed into the output queue and
+// re-wakes the thread while there is input and room for its output.
+func (sd *displayStage) flusher(inQ *core.Queue, t *sched.Thread) func() {
+	p := sd.path
+	outQ := p.Q[core.QOutBWD]
+	return func() {
 		for _, f := range sd.pending {
 			if sd.impl.OnFrameDone != nil {
 				sd.impl.OnFrameDone(p, f, sd.cpuAcc)
@@ -261,7 +273,8 @@ func (d *DisplayImpl) ServeJoined(prim, sib *core.Path, name string) *sched.Thre
 	if !ok {
 		return nil
 	}
-	t := d.cpu.NewThread(name, sched.PolicyRR, func(t *sched.Thread) (time.Duration, func()) {
+	var done func()
+	t := d.cpu.NewThread(name, sched.PolicyRR, func(*sched.Thread) (time.Duration, func()) {
 		if sib.Dead() || prim.Dead() || sib.Paused() || prim.Paused() {
 			return 0, nil // Resume refires the input queue's NotEmpty hook
 		}
@@ -283,22 +296,9 @@ func (d *DisplayImpl) ServeJoined(prim, sib *core.Path, name string) *sched.Thre
 		// Lower-stage cost accrued on sib, decode/dither above MFLOW on prim.
 		cost := sib.TakeExecCost() + prim.TakeExecCost()
 		sd.cpuAcc += cost
-		return cost, func() {
-			for _, f := range sd.pending {
-				if d.OnFrameDone != nil {
-					d.OnFrameDone(prim, f, sd.cpuAcc)
-				}
-				sd.cpuAcc = 0
-				if !outQ.Enqueue(f) {
-					sd.Overflow++
-				}
-			}
-			sd.pending = sd.pending[:0]
-			if !inQ.Empty() && !outQ.Full() {
-				t.Wake()
-			}
-		}
+		return cost, done
 	})
+	done = sd.flusher(sib.Q[core.QInBWD], t)
 	// The sibling rides the flow's scheduling contract: prim's wakeup closure
 	// computes EDF deadlines from the shared bottleneck queues, so it applies
 	// unchanged to every subpath's thread.

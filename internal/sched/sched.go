@@ -27,7 +27,9 @@ import (
 // happens at the end of a real execution). After completion the thread goes
 // back to sleep; re-waking it (typically from the completion callback when
 // the input queue is still non-empty) triggers the path wakeup callback
-// again, which is how per-execution deadlines get recomputed.
+// again, which is how per-execution deadlines get recomputed. A body runs
+// once per message, so it returns a callback built once for the thread, not
+// a fresh closure per execution.
 type Body func(t *Thread) (cpu time.Duration, complete func())
 
 // State of a thread.
@@ -58,11 +60,14 @@ type Thread struct {
 	s        *Sched
 	body     Body
 	state    State
-	policy   string
+	ps       *policyState
 	prio     int
 	deadline sim.Time
 	path     *core.Path
 	wantWake bool
+	// serveMore, on a ServeIncoming thread, wakes it while its input queue
+	// holds work.
+	serveMore func()
 
 	cpu      time.Duration
 	runs     int64
@@ -77,16 +82,17 @@ var _ core.ThreadControl = (*Thread)(nil)
 //
 //scout:assert policy names are compile-time constants in wiring code, never runtime input
 func (t *Thread) SetPolicy(policy string) {
-	if t.policy == policy {
+	if t.ps.name == policy {
 		return
 	}
-	if _, ok := t.s.policies[policy]; !ok {
+	ps, ok := t.s.policies[policy]
+	if !ok {
 		panic(fmt.Sprintf("sched: unknown policy %q", policy))
 	}
 	if t.state == Runnable {
-		t.s.policies[t.policy].queue.Remove(t)
+		t.ps.queue.Remove(t)
 	}
-	t.policy = policy
+	t.ps = ps
 	if t.state == Runnable {
 		t.s.enqueue(t)
 	}
@@ -99,7 +105,7 @@ func (t *Thread) SetPriority(prio int) {
 	}
 	requeue := t.state == Runnable
 	if requeue {
-		t.s.policies[t.policy].queue.Remove(t)
+		t.ps.queue.Remove(t)
 	}
 	t.prio = prio
 	if requeue {
@@ -114,7 +120,7 @@ func (t *Thread) SetDeadline(deadline int64) {
 	}
 	requeue := t.state == Runnable
 	if requeue {
-		t.s.policies[t.policy].queue.Remove(t)
+		t.ps.queue.Remove(t)
 	}
 	t.deadline = sim.Time(deadline)
 	if requeue {
@@ -123,7 +129,7 @@ func (t *Thread) SetDeadline(deadline int64) {
 }
 
 // Policy reports the thread's current policy name.
-func (t *Thread) Policy() string { return t.policy }
+func (t *Thread) Policy() string { return t.ps.name }
 
 // Priority reports the thread's fixed priority.
 func (t *Thread) Priority() int { return t.prio }
@@ -169,7 +175,7 @@ func (t *Thread) Wake() {
 }
 
 func (t *Thread) String() string {
-	return fmt.Sprintf("thread(%s %s prio=%d)", t.Name, t.policy, t.prio)
+	return fmt.Sprintf("thread(%s %s prio=%d)", t.Name, t.ps.name, t.prio)
 }
 
 // runQueue is the per-policy ready-queue discipline.
@@ -203,9 +209,13 @@ type Sched struct {
 	policies map[string]*policyState
 	order    []*policyState
 
-	busy       bool
-	current    *Thread
-	completion *sim.Event
+	busy    bool
+	current *Thread
+	// completion retires the busy period in progress. The scheduler owns the
+	// one event for its whole life: a dispatch arms it, and every interrupt
+	// that steals CPU from the busy period moves it in place.
+	completion sim.Event
+	finishFn   func() // s.finishCurrent, bound once
 	completeAt sim.Time
 	onComplete func()
 	curStart   sim.Time
@@ -229,7 +239,9 @@ type Sched struct {
 
 // New returns a scheduler driven by eng.
 func New(eng *sim.Engine) *Sched {
-	return &Sched{eng: eng, policies: make(map[string]*policyState)}
+	s := &Sched{eng: eng, policies: make(map[string]*policyState)}
+	s.finishFn = s.finishCurrent
+	return s
 }
 
 // Engine returns the simulation engine the scheduler runs on.
@@ -254,20 +266,21 @@ func (s *Sched) AddPolicy(name string, q runQueue, share int) {
 //
 //scout:assert an unknown policy or nil body is path-creation miswiring, not runtime input
 func (s *Sched) NewThread(name, policy string, body Body) *Thread {
-	if _, ok := s.policies[policy]; !ok {
+	ps, ok := s.policies[policy]
+	if !ok {
 		panic(fmt.Sprintf("sched: unknown policy %q", policy))
 	}
 	if body == nil {
 		panic("sched: nil thread body")
 	}
-	return &Thread{Name: name, s: s, body: body, policy: policy, state: Sleeping, deadline: sim.Never}
+	return &Thread{Name: name, s: s, body: body, ps: ps, state: Sleeping, deadline: sim.Never}
 }
 
 func (s *Sched) enqueue(t *Thread) {
 	s.fifoSeq++
 	t.fifo = s.fifoSeq
 	t.queuedAt = s.eng.Now()
-	s.policies[t.policy].queue.Push(t)
+	t.ps.queue.Push(t)
 }
 
 // pickPolicy chooses the runnable policy furthest below its CPU share
@@ -325,7 +338,7 @@ func (s *Sched) maybeDispatch() {
 	s.curCharged = cpu
 	s.completeAt = s.eng.Now().Add(cpu)
 	s.onComplete = complete
-	s.completion = s.eng.At(s.completeAt, s.finishCurrent)
+	s.eng.Rearm(&s.completion, s.completeAt, s.finishFn)
 }
 
 // finishCurrent retires the running execution (or a bare interrupt-only
@@ -336,7 +349,6 @@ func (s *Sched) finishCurrent() {
 	start, charged := s.curStart, s.curCharged
 	s.busy = false
 	s.current = nil
-	s.completion = nil
 	s.onComplete = nil
 	s.curCharged = 0
 
@@ -373,11 +385,8 @@ func (s *Sched) Interrupt(cost time.Duration, fn func()) {
 		fn()
 	}
 	if s.busy {
-		if s.completion != nil {
-			s.completion.Cancel()
-		}
 		s.completeAt = s.completeAt.Add(cost)
-		s.completion = s.eng.At(s.completeAt, s.finishCurrent)
+		s.eng.Rearm(&s.completion, s.completeAt, s.finishFn)
 		return
 	}
 	if cost == 0 {
@@ -391,7 +400,7 @@ func (s *Sched) Interrupt(cost time.Duration, fn func()) {
 	s.current = nil
 	s.onComplete = nil
 	s.completeAt = s.eng.Now().Add(cost)
-	s.completion = s.eng.At(s.completeAt, s.finishCurrent)
+	s.eng.Rearm(&s.completion, s.completeAt, s.finishFn)
 }
 
 // ServeIncoming creates and wires the standard worker thread for a path:
@@ -400,8 +409,7 @@ func (s *Sched) Interrupt(cost time.Duration, fn func()) {
 // a path end (ARP, ICMP, SHELL, TEST, HTTP) use exactly this shape.
 func ServeIncoming(s *Sched, name, policy string, prio int, p *core.Path, d core.Direction) *Thread {
 	q := p.Q[core.QIn(d)]
-	var th *Thread
-	th = s.NewThread(name, policy, func(t *Thread) (time.Duration, func()) {
+	th := s.NewThread(name, policy, func(t *Thread) (time.Duration, func()) {
 		if p.Paused() {
 			// A paused path retains its queued work; Resume refires the
 			// queue's NotEmpty hook to wake this thread back up.
@@ -416,16 +424,19 @@ func ServeIncoming(s *Sched, name, policy string, prio int, p *core.Path, d core
 			// Stages free the message on their error paths.
 			_ = err
 		}
-		cost := p.TakeExecCost()
-		return cost, func() {
-			if !q.Empty() {
-				t.Wake()
-			}
-		}
+		return p.TakeExecCost(), t.serveMore
 	})
 	th.SetPriority(prio)
 	th.AttachPath(p)
-	q.NotEmpty = th.Wake
+	// Built once per thread, serveMore is both the completion of every
+	// execution and the queue's arrival hook (which only ever fires on a
+	// non-empty queue, so the check changes nothing there).
+	th.serveMore = func() {
+		if !q.Empty() {
+			th.Wake()
+		}
+	}
+	q.NotEmpty = th.serveMore
 	return th
 }
 

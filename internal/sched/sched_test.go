@@ -361,6 +361,35 @@ func TestPriorityClamping(t *testing.T) {
 	}
 }
 
+// The scheduler's three steady-state shapes allocate nothing: an interrupt
+// landing on a busy CPU (the completion event moves in place), an interrupt
+// on an idle CPU (it is armed), and a full wake → dispatch → finish cycle.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	eng, s := newSched()
+	done := func() {}
+	th := s.NewThread("w", PolicyRR, func(*Thread) (time.Duration, func()) { return time.Millisecond, done })
+	th.Wake()
+	eng.Run() // first cycle sizes the run queue and the event queue
+
+	th.Wake() // CPU busy for 1ms
+	if allocs := testing.AllocsPerRun(100, func() { s.Interrupt(time.Microsecond, nil) }); allocs > 0 {
+		t.Errorf("interrupt while busy allocates %.1f objects, want 0", allocs)
+	}
+	eng.Run()
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Interrupt(time.Microsecond, nil)
+		eng.Run()
+	}); allocs > 0 {
+		t.Errorf("interrupt while idle allocates %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		th.Wake()
+		eng.Run()
+	}); allocs > 0 {
+		t.Errorf("wake → dispatch → finish allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	eng, s := newSched()
 	th := s.NewThread("t", PolicyRR, func(*Thread) (time.Duration, func()) { return 2 * time.Millisecond, nil })

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -37,77 +36,59 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Never is a sentinel meaning "no deadline"; it sorts after every real time.
 const Never Time = 1<<63 - 1
 
-// Event is a scheduled callback. It is returned by At/After so callers can
-// cancel it before it fires.
+// Event is a scheduled callback. Three ownership rules cover every event in
+// the tree:
+//
+//   - At/After return a one-shot event. The caller may hold the handle (to
+//     Cancel it, or to read When); the engine never recycles it.
+//   - Rearm schedules an event the caller owns, typically a struct field held
+//     by value for the owner's whole life (a scheduler's completion, a
+//     retransmission timer). A queued event moves in place; the zero Event is
+//     ready to use.
+//   - Schedule returns no handle, so the engine recycles the entry the moment
+//     it fires.
+//
+// Cancel is eager under all three: the entry leaves the queue at once.
 type Event struct {
-	when     Time
-	seq      uint64
-	fn       func()
-	eng      *Engine
-	index    int // heap index, -1 if not queued
-	canceled bool
+	fn     func()
+	eng    *Engine
+	pos    int32 // 1-based queue slot; 0 = not queued
+	pooled bool  // scheduled without a handle: back to the free list on firing
 }
 
-// When reports the virtual time at which the event will fire.
-func (ev *Event) When() Time { return ev.when }
+// When reports the virtual time at which the event will fire, or Never if it
+// is not queued.
+func (ev *Event) When() Time {
+	if ev.pos == 0 {
+		return Never
+	}
+	return ev.eng.queue[ev.pos-1].when
+}
 
-// Cancel prevents the event from firing. Canceling an event that already
-// fired or was already canceled is a no-op. Canceled events stay queued and
-// are discarded lazily; the engine compacts the heap when they outnumber the
-// runnable events, so mass cancellation (path teardown at scale) cannot pin
-// memory or inflate Pending.
+// Queued reports whether the event is waiting to fire.
+func (ev *Event) Queued() bool { return ev.pos != 0 }
+
+// Cancel prevents the event from firing by removing it from the queue.
+// Canceling an event that already fired, was already canceled or was never
+// scheduled is a no-op.
 func (ev *Event) Cancel() {
-	if ev.canceled {
-		return
+	if ev.pos != 0 {
+		ev.eng.remove(int(ev.pos) - 1)
 	}
-	ev.canceled = true
-	if ev.index >= 0 && ev.eng != nil {
-		ev.eng.canceled++
-		ev.eng.maybeCompact()
-	}
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New. Engines are not safe for concurrent use: the whole simulated kernel
 // is single-threaded, exactly like Scout's non-preemptive core.
 type Engine struct {
-	now      Time
-	events   eventHeap
-	seq      uint64
-	seed     int64
-	rng      *rand.Rand
-	stopped  bool
-	canceled int    // queued events already canceled, awaiting lazy discard
-	ran      uint64 // events executed, for wall-clock rate accounting
+	now     Time
+	queue   []slot
+	seq     uint64
+	seed    int64
+	rng     *rand.Rand
+	stopped bool
+	ran     uint64   // events executed, for wall-clock rate accounting
+	free    []*Event // fired Schedule entries awaiting reuse
 
 	// Set when the engine is one shard of a Cluster: the shard may then only
 	// be driven through the cluster's windowed run loop.
@@ -152,25 +133,9 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At with nil func")
 	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	ev := &Event{when: t, seq: e.seq, fn: fn, eng: e, index: -1}
-	heap.Push(&e.events, ev)
+	ev := &Event{fn: fn, eng: e}
+	e.enqueue(ev, t)
 	return ev
-}
-
-// rearm re-queues a fired (dequeued) event at time t with a fresh sequence
-// number, reusing the allocation. Internal: only the Ticker re-arms its
-// private event, so the entry cannot be live in the heap here.
-func (e *Engine) rearm(ev *Event, t Time) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	ev.when, ev.seq, ev.canceled = t, e.seq, false
-	heap.Push(&e.events, ev)
 }
 
 // After schedules fn to run d from now. Negative d behaves like d == 0.
@@ -178,37 +143,144 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 	return e.At(e.now.Add(d), fn)
 }
 
-// Pending reports the number of runnable (not canceled) events queued.
-func (e *Engine) Pending() int { return len(e.events) - e.canceled }
+// Rearm schedules the caller-owned event ev to run fn at t. An event still
+// queued moves there in place; either way it takes a fresh place in the FIFO
+// order of its instant, exactly as canceling it and calling At would. The
+// caller must keep ev alive and at one address while it is queued. Past
+// times clamp to now, as for At.
+//
+//scout:assert a nil event func would crash the loop later with the cause lost; fail at the scheduling site
+func (e *Engine) Rearm(ev *Event, t Time, fn func()) {
+	if fn == nil {
+		panic("sim: Rearm with nil func")
+	}
+	ev.fn, ev.eng = fn, e
+	if ev.pos == 0 {
+		e.enqueue(ev, t)
+		return
+	}
+	e.place(int(ev.pos)-1, e.stamp(ev, t))
+}
+
+// Schedule runs fn at t like At but returns no handle: the event cannot be
+// canceled or moved, which is what lets the engine reuse its entry as soon
+// as it fires. It is the form for fire-and-forget events on a hot path.
+//
+//scout:assert a nil event func would crash the loop later with the cause lost; fail at the scheduling site
+func (e *Engine) Schedule(t Time, fn func()) {
+	if fn == nil {
+		panic("sim: Schedule with nil func")
+	}
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{eng: e, pooled: true}
+	}
+	ev.fn = fn
+	e.enqueue(ev, t)
+}
+
+// Pending reports the number of events queued.
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // EventsRun reports how many events the engine has executed since creation;
 // the scale experiments divide it by wall time for an events/sec rate.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// maybeCompact rebuilds the heap without its canceled entries once they
-// outnumber the runnable ones, so cancellation storms stay O(live) in space.
-func (e *Engine) maybeCompact() {
-	const minCompact = 16 // below this the lazy discard in Step is cheaper
-	if len(e.events) < minCompact || e.canceled*2 <= len(e.events) {
-		return
-	}
-	kept := e.events[:0]
-	for _, ev := range e.events {
-		if ev.canceled {
-			ev.index = -1
-			continue
+// slot is one queue entry. The ordering key lives in the slot, so sifting
+// compares without chasing the event pointer.
+type slot struct {
+	when Time
+	seq  uint64 // FIFO among simultaneous events
+	ev   *Event
+}
+
+func (a slot) before(b slot) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
+}
+
+// The queue is a 4-ary min-heap of slots, indexed: every queued event knows
+// its slot, so Cancel and Rearm work in place in O(log n). Both sift
+// routines carry s down or up a hole starting at i and drop it where the
+// heap order holds again.
+
+func (e *Engine) siftUp(i int, s slot) {
+	h := e.queue
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(h[p]) {
+			break
 		}
-		kept = append(kept, ev)
+		h[i] = h[p]
+		h[i].ev.pos = int32(i + 1)
+		i = p
 	}
-	for i := len(kept); i < len(e.events); i++ {
-		e.events[i] = nil // release the dropped entries to the GC
+	h[i] = s
+	s.ev.pos = int32(i + 1)
+}
+
+func (e *Engine) siftDown(i int, s slot) {
+	h := e.queue
+	for {
+		c := 4*i + 1
+		if c >= len(h) {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < len(h); j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(s) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.pos = int32(i + 1)
+		i = m
 	}
-	e.events = kept
-	for i, ev := range e.events {
-		ev.index = i
+	h[i] = s
+	s.ev.pos = int32(i + 1)
+}
+
+// place puts s into the hole at i, sifting whichever way the order requires.
+func (e *Engine) place(i int, s slot) {
+	if i > 0 && s.before(e.queue[(i-1)/4]) {
+		e.siftUp(i, s)
+	} else {
+		e.siftDown(i, s)
 	}
-	heap.Init(&e.events)
-	e.canceled = 0
+}
+
+// remove takes the entry in slot i out of the queue.
+func (e *Engine) remove(i int) {
+	h := e.queue
+	n := len(h) - 1
+	h[i].ev.pos = 0
+	last := h[n]
+	h[n] = slot{}
+	e.queue = h[:n]
+	if i < n {
+		e.place(i, last)
+	}
+}
+
+// stamp clamps t to the present and gives ev the next place in the FIFO
+// order of that instant.
+func (e *Engine) stamp(ev *Event, t Time) slot {
+	if t < e.now {
+		t = e.now
+	}
+	e.seq++
+	return slot{when: t, seq: e.seq, ev: ev}
+}
+
+// enqueue queues ev, which must not be queued already, to fire at t.
+func (e *Engine) enqueue(ev *Event, t Time) {
+	e.queue = append(e.queue, slot{})
+	e.siftUp(len(e.queue)-1, e.stamp(ev, t))
 }
 
 // Step runs the next event. It reports false when no runnable event remains.
@@ -218,21 +290,23 @@ func (e *Engine) Step() bool {
 }
 
 func (e *Engine) step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.canceled {
-			e.canceled--
-			continue
-		}
-		if ev.when < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, ev.when))
-		}
-		e.now = ev.when
-		e.ran++
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	when, ev := e.queue[0].when, e.queue[0].ev
+	e.remove(0)
+	if when < e.now {
+		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, when))
+	}
+	e.now = when
+	e.ran++
+	ev.fn()
+	if ev.pooled {
+		// No handle escaped, so nothing can refer to the entry any more.
+		ev.fn = nil
+		e.free = append(e.free, ev)
+	}
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -254,11 +328,7 @@ func (e *Engine) RunUntil(t Time) {
 
 func (e *Engine) runUntil(t Time) {
 	e.stopped = false
-	for !e.stopped {
-		ev := e.peek()
-		if ev == nil || ev.when > t {
-			break
-		}
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].when <= t {
 		e.step()
 	}
 	if !e.stopped && e.now < t {
@@ -291,23 +361,13 @@ func (e *Engine) mustBeUnclustered(op string) {
 	}
 }
 
-func (e *Engine) peek() *Event {
-	for len(e.events) > 0 {
-		if ev := e.events[0]; !ev.canceled {
-			return ev
-		}
-		heap.Pop(&e.events)
-		e.canceled--
-	}
-	return nil
-}
-
 // Ticker fires a callback periodically until stopped.
 type Ticker struct {
 	e      *Engine
 	period time.Duration
 	fn     func()
-	ev     *Event
+	tickFn func() // t.tick, bound once
+	ev     Event
 	stop   bool
 }
 
@@ -317,11 +377,12 @@ func (e *Engine) Tick(period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: Tick with non-positive period")
 	}
-	t := &Ticker{e: e, period: period, fn: fn}
 	// One closure and one Event for the ticker's whole life: tick re-arms the
 	// same entry, so a display vsync at 10^5 paths costs no steady-state
 	// allocation.
-	t.ev = e.After(period, t.tick)
+	t := &Ticker{e: e, period: period, fn: fn}
+	t.tickFn = t.tick
+	e.Rearm(&t.ev, e.now.Add(period), t.tickFn)
 	return t
 }
 
@@ -331,14 +392,12 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.stop {
-		t.e.rearm(t.ev, t.e.now.Add(t.period))
+		t.e.Rearm(&t.ev, t.e.now.Add(t.period), t.tickFn)
 	}
 }
 
 // Stop cancels the ticker.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.ev.Cancel()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -293,13 +294,10 @@ func TestCancelStormCompacts(t *testing.T) {
 			evs[i].Cancel() // 750 canceled, 250 live
 		}
 	}
-	// The heap must have been compacted along the way: canceled entries can
-	// never exceed half the queue, so a cancellation storm stays O(live).
-	if dead := len(e.events) - e.Pending(); dead*2 > len(e.events) {
-		t.Fatalf("heap holds %d entries of which %d canceled; cancellation storm not compacted", len(e.events), dead)
-	}
-	if len(e.events) >= n {
-		t.Fatalf("heap still holds all %d entries after canceling %d", len(e.events), n-n/4)
+	// Cancel is eager: a cancellation storm leaves exactly the live entries
+	// queued, so mass cancellation (path teardown at scale) cannot pin memory.
+	if len(e.queue) != n/4 {
+		t.Fatalf("queue holds %d entries after canceling %d of %d, want %d", len(e.queue), n-n/4, n, n/4)
 	}
 	if got := e.Pending(); got != n/4 {
 		t.Fatalf("Pending = %d, want %d", got, n/4)
@@ -317,9 +315,10 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := New(1)
 	ev := e.After(time.Millisecond, func() {})
 	e.Run()
+	e.After(time.Millisecond, func() {})
 	ev.Cancel()
-	if e.canceled != 0 {
-		t.Fatalf("canceled count = %d after canceling a fired event, want 0", e.canceled)
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after canceling a fired event, want 1 (the bystander)", got)
 	}
 }
 
@@ -327,13 +326,12 @@ func TestTickerReusesEvent(t *testing.T) {
 	e := New(1)
 	n := 0
 	tk := e.Tick(time.Millisecond, func() { n++ })
-	first := tk.ev
 	e.RunUntil(Time(10 * time.Millisecond))
 	if n != 10 {
 		t.Fatalf("ticker fired %d times, want 10", n)
 	}
-	if tk.ev != first {
-		t.Fatal("ticker allocated a fresh event across re-arms")
+	if !tk.ev.Queued() || e.Pending() != 1 {
+		t.Fatalf("ticker's own event not the one queued entry (queued=%v, pending=%d)", tk.ev.Queued(), e.Pending())
 	}
 	// Steady state: each tick pops and re-pushes the same event — zero
 	// allocations per period.
@@ -343,6 +341,190 @@ func TestTickerReusesEvent(t *testing.T) {
 	e2.Step() // first fire
 	if allocs := testing.AllocsPerRun(100, func() { e2.Step() }); allocs > 0 {
 		t.Fatalf("ticker re-arm allocates %.1f objects per period, want 0", allocs)
+	}
+}
+
+// timerRig drives nTimers owner-held timers plus fire-and-forget events on
+// one engine and logs what fires. The reference rig moves a timer the way the
+// tree did before Rearm existed — Cancel the old handle, At a new one — and
+// posts one-shots through At; the in-place rig uses Rearm and Schedule.
+type timerRig struct {
+	e       *Engine
+	inPlace bool
+	handles []*Event // reference: latest At handle per timer
+	evs     []Event  // in place: the owner-held events
+	fns     []func()
+	log     []firing
+}
+
+type firing struct {
+	at Time
+	id int
+}
+
+func newTimerRig(n int, inPlace bool) *timerRig {
+	r := &timerRig{e: New(1), inPlace: inPlace, handles: make([]*Event, n), evs: make([]Event, n), fns: make([]func(), n)}
+	for id := range r.fns {
+		id := id
+		r.fns[id] = func() {
+			r.log = append(r.log, firing{r.e.Now(), id})
+			// Some timers re-arm themselves from inside their own callback,
+			// the shape of every retransmission and pacing timer.
+			if id%3 == 0 && len(r.log)%4 != 0 {
+				r.arm(id, time.Duration(id%5)*time.Microsecond)
+			}
+		}
+	}
+	return r
+}
+
+func (r *timerRig) arm(id int, d time.Duration) {
+	t := r.e.Now().Add(d)
+	if r.inPlace {
+		r.e.Rearm(&r.evs[id], t, r.fns[id])
+		return
+	}
+	if h := r.handles[id]; h != nil {
+		h.Cancel()
+	}
+	r.handles[id] = r.e.At(t, r.fns[id])
+}
+
+func (r *timerRig) cancel(id int) {
+	if r.inPlace {
+		r.evs[id].Cancel()
+	} else if h := r.handles[id]; h != nil {
+		h.Cancel()
+	}
+}
+
+func (r *timerRig) oneShot(tag int, d time.Duration) {
+	fn := func() { r.log = append(r.log, firing{r.e.Now(), tag}) }
+	if r.inPlace {
+		r.e.Schedule(r.e.Now().Add(d), fn)
+	} else {
+		r.e.At(r.e.Now().Add(d), fn)
+	}
+}
+
+// TestPropertyRearmMatchesCancelAt is the equivalence the whole tree leans
+// on: re-arming in place and scheduling without a handle fire the same
+// (time, id) sequence as Cancel+At and At, simultaneous events included, and
+// agree on Pending after every operation.
+func TestPropertyRearmMatchesCancelAt(t *testing.T) {
+	const nTimers = 12
+	for seed := int64(1); seed <= 20; seed++ {
+		ref, inp := newTimerRig(nTimers, false), newTimerRig(nTimers, true)
+		rng := rand.New(rand.NewSource(seed))
+		for op := 0; op < 3000; op++ {
+			id := rng.Intn(nTimers)
+			// Few distinct delays, zero among them, so instants collide and
+			// the FIFO order within an instant is exercised.
+			d := time.Duration(rng.Intn(4)) * time.Microsecond
+			switch k := rng.Intn(10); {
+			case k < 4:
+				ref.arm(id, d)
+				inp.arm(id, d)
+			case k < 5:
+				ref.cancel(id)
+				inp.cancel(id)
+			case k < 7:
+				ref.oneShot(100+op, d)
+				inp.oneShot(100+op, d)
+			default:
+				if a, b := ref.e.Step(), inp.e.Step(); a != b {
+					t.Fatalf("seed %d op %d: Step = %v (Cancel+At) vs %v (in place)", seed, op, a, b)
+				}
+			}
+			if a, b := ref.e.Pending(), inp.e.Pending(); a != b {
+				t.Fatalf("seed %d op %d: Pending = %d (Cancel+At) vs %d (in place)", seed, op, a, b)
+			}
+		}
+		ref.e.Run()
+		inp.e.Run()
+		if len(ref.log) != len(inp.log) {
+			t.Fatalf("seed %d: %d firings (Cancel+At) vs %d (in place)", seed, len(ref.log), len(inp.log))
+		}
+		for i := range ref.log {
+			if ref.log[i] != inp.log[i] {
+				t.Fatalf("seed %d: firing %d = %+v (Cancel+At) vs %+v (in place)", seed, i, ref.log[i], inp.log[i])
+			}
+		}
+	}
+}
+
+func TestRearmMovesQueuedEvent(t *testing.T) {
+	e := New(1)
+	var ev Event
+	var order []string
+	e.Rearm(&ev, Time(5*time.Millisecond), func() { order = append(order, "early") })
+	e.At(Time(8*time.Millisecond), func() { order = append(order, "bystander") })
+	// Moving to the bystander's instant queues behind it: a fresh place in
+	// the FIFO order, and the newest func wins.
+	e.Rearm(&ev, Time(8*time.Millisecond), func() { order = append(order, "moved") })
+	if e.Pending() != 2 || ev.When() != Time(8*time.Millisecond) {
+		t.Fatalf("Pending = %d, When = %v; want 2 entries and 8ms", e.Pending(), ev.When())
+	}
+	e.Run()
+	if len(order) != 2 || order[0] != "bystander" || order[1] != "moved" {
+		t.Fatalf("order = %v, want [bystander moved]", order)
+	}
+	if ev.Queued() {
+		t.Fatal("event still queued after firing")
+	}
+	ev.Cancel() // fired: no-op
+	new(Event).Cancel()
+}
+
+func TestScheduleRecyclesEntries(t *testing.T) {
+	e := New(1)
+	n := 0
+	var fn func()
+	fn = func() {
+		if n++; n < 100 {
+			e.Schedule(e.Now().Add(time.Microsecond), fn)
+		}
+	}
+	e.Schedule(0, fn)
+	held := e.At(Time(time.Second), func() {}) // a held handle is never recycled
+	e.Run()
+	if n != 100 {
+		t.Fatalf("chain fired %d times, want 100", n)
+	}
+	// Each link of the chain is scheduled while its predecessor is still
+	// firing, so the chain alternates between two entries.
+	if len(e.free) != 2 {
+		t.Fatalf("free list holds %d entries after a 100-event chain, want the 2 it alternated between", len(e.free))
+	}
+	for _, ev := range e.free {
+		if ev == held {
+			t.Fatal("an At event reached the free list")
+		}
+	}
+}
+
+// The three steady-state forms of the hot path — re-arm an owner-held event,
+// schedule without a handle, run an event — allocate nothing.
+func TestHotPathZeroAlloc(t *testing.T) {
+	e := New(1)
+	for i := 0; i < 64; i++ { // size the queue and the free list
+		e.Schedule(Time(i), func() {})
+	}
+	e.Run()
+	var ev Event
+	fn := func() {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Rearm(&ev, e.Now().Add(time.Millisecond), fn) // push or move
+		e.Rearm(&ev, e.Now().Add(time.Microsecond), fn) // move
+	}); allocs > 0 {
+		t.Fatalf("Rearm allocates %.1f objects per call pair, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.Schedule(e.Now().Add(time.Microsecond), fn)
+		e.Step()
+		e.Step()
+	}); allocs > 0 {
+		t.Fatalf("Schedule+Step allocates %.1f objects, want 0", allocs)
 	}
 }
 
