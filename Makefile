@@ -13,9 +13,9 @@ BENCHCOUNT ?= 5
 BENCHOUT ?= BENCH_pr14.json
 BENCHBASE ?= BENCH_pr10.json
 
-.PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke tracegate chaosgate fastgate mpgate miggate scalegate
+.PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke gates
 
-check: build vet test race lint tracegate chaosgate fastgate mpgate miggate scalegate benchsmoke benchdiff
+check: build vet test race lint gates benchsmoke benchdiff
 
 build:
 	$(GO) build ./...
@@ -61,58 +61,12 @@ benchdiff:
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE1|BenchmarkE2|BenchmarkE3' -benchmem -benchtime 1x .
 
-# tracegate is the determinism regression gate: two same-seed E10 smoke runs
-# must export byte-identical traces and metrics.
-tracegate:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run e10 -e10-smoke -trace $$dir/a.json -metrics $$dir/am.json >/dev/null && \
-	$(GO) run ./cmd/mpegbench -run e10 -e10-smoke -trace $$dir/b.json -metrics $$dir/bm.json >/dev/null && \
-	cmp $$dir/a.json $$dir/b.json && cmp $$dir/am.json $$dir/bm.json && \
-	echo "tracegate: E10 exports byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
-
-# fastgate is the receive-path equivalence gate: E12 boots the same seeded
-# world on the kernel and on the reference kernel (full demux walk, unfused
-# delivery) and requires identical outputs (mpegbench exits non-zero on a
-# mismatch).
-fastgate:
-	$(GO) run ./cmd/mpegbench -run e12 -e12-smoke
-
-# samegate runs mpegbench experiment $(1) (smoke flag $(2)) twice at the same
-# seed and requires byte-identical reports (wall-clock lines excluded — they
-# legitimately vary). Either run failing its own internal gate (mpegbench
-# exits non-zero) fails the target too.
-define samegate
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/mpegbench -run $(1) $(2) > $$dir/a.raw && \
-	$(GO) run ./cmd/mpegbench -run $(1) $(2) > $$dir/b.raw && \
-	grep -v wall-clock $$dir/a.raw > $$dir/a.txt && \
-	grep -v wall-clock $$dir/b.raw > $$dir/b.txt && \
-	cmp $$dir/a.txt $$dir/b.txt && \
-	echo "$@: $(1) report byte-identical across same-seed runs"; \
-	rc=$$?; rm -rf $$dir; exit $$rc
-endef
-
-# mpgate is the multipath determinism gate: E13 smoke, the full k x policy
-# grid with a mid-run link fault.
-mpgate:
-	$(call samegate,e13,-e13-smoke)
-
-# miggate is the live-migration gate: E14 smoke (link killed mid-clip, path
-# respliced onto the spare NIC), whose internal gate wants one migration
-# within budget, zero incomplete frames and clean audits.
-miggate:
-	$(call samegate,e14,-e14-smoke)
-
-# scalegate is the sharded-kernel determinism gate, two layers deep: each
-# E15 smoke run internally requires identical digests/totals/event counts
-# across shard counts, and the two runs must match each other.
-scalegate:
-	$(call samegate,e15,-e15-smoke)
-
-# chaosgate is the overload-survival gate: the seeded chaos suite (fault
-# plane, watchdog, degradation, lifecycle audits) must be race-clean, and
-# the E11 smoke report must be reproducible.
-chaosgate:
-	$(GO) test -race ./internal/chaos ./internal/exp -run 'Chaos|E11|Inflate|Stall|Squeeze|Poison|Audit|Destroy'
-	$(call samegate,overload,-overload-smoke)
+# gates is the determinism gate, in one process: every experiment in
+# internal/exp's registry runs twice at CI size and must print the same bytes
+# both times (E10: export the same trace and metrics too), pass its own check
+# (E12 and E14 match the reference kernel, E14 migrates once within budget,
+# E15 is identical at every shard count, E11's audits are clean) and match its
+# committed digest in internal/exp/golden.go. See README "Running experiments
+# and gates".
+gates:
+	$(GO) run ./cmd/mpegbench -gate -smoke

@@ -4,24 +4,15 @@
 //
 // Usage:
 //
-//	mpegbench                  # run everything
-//	mpegbench -run table1      # one experiment: micro|table1|table2|edf|admission|queues|ilp|loss|e10|overload|e12|e13|e14
-//	mpegbench -edf-full        # EDF experiment at full clip lengths
+//	mpegbench                  # run everything at full size
+//	mpegbench -run table1,edf  # some experiments (-h lists the names)
+//	mpegbench -smoke           # CI size, for the experiments that have one
+//	mpegbench -gate -smoke     # the determinism gate: run each selected
+//	                           # experiment twice, compare digests with each
+//	                           # other and with the committed golden ones,
+//	                           # and apply the experiment's own check
 //	mpegbench -run e10 -trace trace.json -metrics metrics.json
 //	                           # per-stage breakdown + Perfetto trace dump
-//	mpegbench -run e10 -e10-smoke
-//	                           # CI-sized E10 (short clip, two load levels)
-//	mpegbench -run overload -overload-smoke
-//	                           # CI-sized E11 (short clip, one overcommit)
-//	mpegbench -run e12 -e12-smoke
-//	                           # kernel vs reference kernel at CI size
-//	mpegbench -run e13 -e13-smoke
-//	                           # multipath policy grid at CI size
-//	mpegbench -run e14 -e14-smoke
-//	                           # live path migration gate at CI size
-//	mpegbench -run e15 [-e15-smoke]
-//	                           # sharded-kernel scale sweep + shard-count
-//	                           # invisibility gate (smoke = CI size)
 //	mpegbench -run table1 -cpuprofile cpu.prof -memprofile mem.prof
 //	                           # where the simulator's own wall time and
 //	                           # allocations go (go tool pprof -top)
@@ -35,185 +26,94 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"scout/internal/exp"
-	"scout/internal/mpeg"
 )
 
 func main() {
-	which := flag.String("run", "all", "experiment: all|micro|table1|table2|edf|admission|queues|ilp|loss|e10|overload|e12|e13|e14|e15")
-	edfFull := flag.Bool("edf-full", false, "run the EDF experiment at full clip lengths (1345/1758 frames)")
-	e10Smoke := flag.Bool("e10-smoke", false, "run E10 at CI size (short clip, loads {0,2})")
-	overloadSmoke := flag.Bool("overload-smoke", false, "run E11 at CI size (short clip, overcommit {1.5})")
-	e12Smoke := flag.Bool("e12-smoke", false, "run E12 at CI size (short clip)")
-	e13Smoke := flag.Bool("e13-smoke", false, "run E13 at CI size (short clip)")
-	e14Smoke := flag.Bool("e14-smoke", false, "run E14 at CI size (short clip)")
-	e15Smoke := flag.Bool("e15-smoke", false, "run E15 at CI size (dozens of paths, shards {1,2})")
+	names := strings.Join(exp.Names(), ",")
+	which := flag.String("run", "all", "experiments to run, comma-separated: all or any of "+names)
+	smoke := flag.Bool("smoke", false, "run each experiment at its CI size, if it has one")
+	gate := flag.Bool("gate", false, "run each experiment twice and require equal digests, a passing check and, with -smoke, the golden digest")
 	traceOut := flag.String("trace", "", "write E10's highest-load run as Chrome trace_event JSON to this file")
 	metricsOut := flag.String("metrics", "", "write E10's highest-load metrics JSON (pathtop input) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the selected experiments to this file")
 	flag.Parse()
 
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mpegbench: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	selected := strings.Split(*which, ",")
+	if *which == "all" {
+		selected = exp.Names()
+	}
+	for _, name := range selected {
+		if !slices.Contains(exp.Names(), name) {
+			usage("unknown experiment %q; the experiments are %s", name, names)
+		}
+	}
+	if (*traceOut != "" || *metricsOut != "") && (*gate || !slices.Contains(selected, "e10")) {
+		usage("-trace and -metrics export a run of e10: select it with -run, without -gate")
+	}
+
 	// An experiment that fails its gate exits at once and leaves no profile.
 	defer startProfiles(*cpuProfile, *memProfile)()
 
 	w := os.Stdout
-	run := func(name string, fn func()) {
-		if *which != "all" && *which != name {
-			return
+	failed := false
+	for _, e := range exp.Experiments {
+		if !slices.Contains(selected, e.Name) {
+			continue
 		}
 		start := time.Now()
-		fn()
-		fmt.Fprintf(w, "(%s took %v wall-clock)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	run("micro", func() {
-		k, err := exp.NewMicroKernel()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := exp.MeasureFootprint(k)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		exp.PrintFootprint(w, f)
-		fmt.Fprintln(w, "(run `go test -bench='BenchmarkE1|BenchmarkE2' .` for the")
-		fmt.Fprintln(w, " wall-clock path-creation and demux microbenchmarks)")
-	})
-
-	run("table1", func() {
-		exp.PrintTable1(w, exp.RunTable1(nil))
-	})
-
-	run("table2", func() {
-		exp.PrintTable2(w, exp.RunTable2())
-	})
-
-	run("edf", func() {
-		cfg := exp.EDFConfig{NeptuneFrames: 400, CanyonFrames: 600}
-		if *edfFull {
-			cfg = exp.EDFConfig{}
-		}
-		rows := exp.RunEDF(cfg, []string{"edf", "rr"}, []int{16, 64, 128, 256, 512})
-		exp.PrintEDF(w, rows)
-	})
-
-	run("admission", func() {
-		exp.PrintAdmission(w, exp.RunAdmission(400))
-	})
-
-	run("queues", func() {
-		exp.PrintQueueSizing(w, exp.RunQueueSizing(nil, nil))
-	})
-
-	run("loss", func() {
-		exp.PrintLoss(w, mpeg.Neptune.Name, exp.RunLoss(mpeg.Neptune))
-	})
-
-	run("e10", func() {
-		cfg := exp.E10Config{}
-		if *e10Smoke {
-			cfg = exp.SmokeE10Config()
-		}
-		rows := exp.RunE10(cfg)
-		exp.PrintE10(w, cfg, rows)
-		if len(rows) == 0 {
-			return
-		}
-		last := rows[len(rows)-1]
-		writeOut := func(path, what string, write func(io.Writer) error) {
-			if path == "" {
-				return
-			}
-			var b bytes.Buffer
-			if err := write(&b); err == nil {
-				err = os.WriteFile(path, b.Bytes(), 0o644)
-				if err == nil {
-					fmt.Fprintf(w, "wrote %s to %s\n", what, path)
-					return
-				}
-				fmt.Fprintln(os.Stderr, err)
+		if *gate {
+			digest, err := e.Gate(*smoke)
+			took := time.Since(start).Round(time.Millisecond)
+			if err != nil {
+				failed = true
+				fmt.Fprintf(w, "FAIL %v (%v)\n", err, took)
 			} else {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintf(w, "ok   %-10s 0x%016x (%v)\n", e.Name, digest, took)
 			}
+			continue
+		}
+		res := e.Run(exp.Options{Smoke: *smoke, Wall: func() time.Duration { return time.Since(start) }})
+		res.Print(w)
+		if r, ok := res.(exp.E10Result); ok {
+			writeOut(w, *traceOut, "trace_event JSON (load at ui.perfetto.dev)", r.Tracer().WriteTrace)
+			writeOut(w, *metricsOut, "metrics JSON (view with pathtop)", r.Tracer().WriteMetricsJSON)
+		}
+		if err := exp.Check(res); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		writeOut(*traceOut, "trace_event JSON (load at ui.perfetto.dev)", last.Tracer.WriteTrace)
-		writeOut(*metricsOut, "metrics JSON (view with pathtop)", last.Tracer.WriteMetricsJSON)
-	})
+		fmt.Fprintf(w, "(%s took %v wall-clock)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
 
-	run("overload", func() {
-		cfg := exp.E11Config{}
-		if *overloadSmoke {
-			cfg = exp.SmokeOverloadConfig()
-		}
-		exp.PrintE11(w, exp.RunE11(cfg))
-	})
-
-	run("e12", func() {
-		cfg := exp.E12Config{}
-		if *e12Smoke {
-			cfg = exp.SmokeE12Config()
-		}
-		res := exp.RunE12(cfg)
-		exp.PrintE12(w, res)
-		if !res.Match() {
-			os.Exit(1)
-		}
-	})
-
-	run("e13", func() {
-		cfg := exp.E13Config{}
-		if *e13Smoke {
-			cfg = exp.SmokeE13Config()
-		}
-		exp.PrintE13(w, exp.RunE13(cfg))
-	})
-
-	run("e14", func() {
-		cfg := exp.E14Config{}
-		if *e14Smoke {
-			cfg = exp.SmokeE14Config()
-		}
-		res := exp.RunE14(cfg)
-		exp.PrintE14(w, res)
-		if !res.Ok() {
-			os.Exit(1)
-		}
-	})
-
-	run("e15", func() {
-		cfg := exp.E15Config{}
-		if *e15Smoke {
-			cfg = exp.SmokeE15Config()
-		}
-		start := time.Now()
-		cfg.Wall = func() time.Duration { return time.Since(start) }
-		res := exp.RunE15(cfg)
-		exp.PrintE15(w, res)
-		if !res.Match() {
-			os.Exit(1)
-		}
-		// The speedup target only means something on a multicore host; CI
-		// and laptops assert it, single-CPU containers report honestly.
-		if res.CPUs >= 4 {
-			if sp := res.SpeedupAt(4); sp > 0 && sp < 3.0 {
-				fmt.Fprintf(os.Stderr, "e15: speedup at 4 shards %.2fx, want >= 3x\n", sp)
-				os.Exit(1)
-			}
-		}
-	})
-
-	run("ilp", func() {
-		on := exp.RunILP(true, 100)
-		off := exp.RunILP(false, 100)
-		fmt.Fprintf(w, "§4.1 ILP transformation (UDP checksum fused into MPEG read):\n")
-		fmt.Fprintf(w, "per-packet path CPU: %v without, %v with → %v saved\n", off, on, off-on)
-	})
+// writeOut writes one of E10's exports to path ("" = not asked for).
+func writeOut(w io.Writer, path, what string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	var b bytes.Buffer
+	err := write(&b)
+	if err == nil {
+		err = os.WriteFile(path, b.Bytes(), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mpegbench:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(w, "wrote %s to %s\n", what, path)
 }
 
 // startProfiles starts the CPU profile (if asked for) and returns the

@@ -1,113 +1,59 @@
 package exp
 
 import (
+	"io"
 	"time"
 
 	"scout/internal/appliance"
+	"scout/internal/core"
 	"scout/internal/host"
 	"scout/internal/mpeg"
-	"scout/internal/proto/inet"
 	"scout/internal/routers"
 )
 
 // Ablations for the design choices DESIGN.md calls out.
+
+// ILPResult is the §4.1 ablation: the average path CPU per packet without
+// and with the integrated-layer-processing transformation rule.
+type ILPResult struct{ Off, On time.Duration }
 
 // RunILP streams a short Neptune prefix with or without the
 // integrated-layer-processing transformation rule (§4.1: fuse the UDP
 // checksum into MPEG's read of the data) and returns the average path CPU
 // per packet.
 func RunILP(enable bool, frames int) time.Duration {
-	eng, link := newWorld(4)
-	cfg := appliance.DefaultConfig()
-	cfg.MAC, cfg.Addr = scoutMAC, scoutAddr
-	cfg.RefreshHz = 2000
-	cfg.EnableILP = enable
-	k, err := appliance.Boot(eng, link, cfg)
-	if err != nil {
-		panic(err)
-	}
-	h := host.New(link, srcMAC, srcAddr)
 	clip := mpeg.Neptune
 	clip.Frames = frames
-	p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       2000,
-		CostModel: true,
-		QueueLen:  32,
+	w := newWorld(worldSpec{
+		seed: 4, maxRate: true,
+		tune: func(c *appliance.Config) { c.EnableILP = enable },
+		streams: []streamSpec{{
+			attrs:  appliance.VideoAttrs{FPS: 2000, CostModel: true, QueueLen: 32},
+			source: host.SourceConfig{Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 13},
+		}},
 	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 13,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
-	runUntil(eng, 5*time.Minute, func() bool {
-		done, _ := src.Done()
-		return done && p.Q[1].Empty()
-	})
-	eng.RunFor(time.Second)
-	packets, _, _, _ := routers.MPEGStats(p, "MPEG")
+	s := w.streams[0]
+	runUntil(w.eng, 5*time.Minute, func() bool { return s.sent() && s.p.Q[core.QOutFWD].Empty() })
+	w.eng.RunFor(time.Second)
+	packets, _, _, _ := routers.MPEGStats(s.p, "MPEG")
 	if packets == 0 {
 		return 0
 	}
-	return p.CPUTime() / time.Duration(packets)
+	return s.p.CPUTime() / time.Duration(packets)
 }
 
-// RunDeadlineMode plays streams with the EDF deadline computed from the
-// given bottleneck queue selection ("out", "in" or "min", §4.3) and reports
-// the Neptune misses under contention — the ablation of the paper's claim
-// that driving scheduling off the bottleneck queue is what matters.
+// Print renders the ablation.
+func (r ILPResult) Print(w io.Writer) {
+	fprintf(w, "§4.1 ILP transformation (UDP checksum fused into MPEG read):\n")
+	fprintf(w, "per-packet path CPU: %v without, %v with → %v saved\n", r.Off, r.On, r.Off-r.On)
+}
+
+// RunDeadlineMode plays the §4.3 workload with the EDF deadline computed from
+// the given bottleneck queue selection ("out", "in" or "min") and reports the
+// misses under contention — the ablation of the paper's claim that driving
+// scheduling off the bottleneck queue is what matters.
 func RunDeadlineMode(mode string, neptuneFrames, canyonFrames int) EDFRow {
-	eng, link := newWorld(6)
-	k, err := bootScout(eng, link, false)
-	if err != nil {
-		panic(err)
-	}
-	neptune := mpeg.Neptune
-	neptune.Frames = neptuneFrames
-	canyon := mpeg.Canyon
-	canyon.Frames = canyonFrames
-	clips := []mpeg.ClipSpec{neptune}
-	fps := []int{30}
-	for i := 0; i < 8; i++ {
-		clips = append(clips, canyon)
-		fps = append(fps, 10)
-	}
-	row := EDFRow{Sched: "edf/" + mode, QueueLen: 128}
-	var nep *sinkRef
-	for i, c := range clips {
-		mac := srcMAC
-		mac[5] = byte(0x60 + i)
-		addr := srcAddr
-		addr[3] = byte(150 + i)
-		h := host.New(link, mac, addr)
-		p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-			Source: inet.Participants{RemoteAddr: addr, RemotePort: 7000},
-			FPS:    fps[i], Frames: c.Frames, CostModel: true, QueueLen: 128,
-			Sched: "edf", DeadlineFrom: mode,
-		})
-		if err != nil {
-			panic(err)
-		}
-		src, err := host.NewSource(h, host.SourceConfig{
-			Clip: c, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: int64(31 + i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		kAddr := k.Cfg.Addr
-		port := lport
-		eng.At(0, func() { src.Start(kAddr, port) })
-		if i == 0 {
-			nep = &sinkRef{sink: k.Display.Sink(p, "DISPLAY"), neptune: true}
-		}
-	}
-	runUntil(eng, 30*time.Minute, nep.sink.Done)
-	row.NeptuneMissed = nep.sink.Missed()
-	row.NeptuneTotal = nep.sink.Displayed() + nep.sink.Missed()
-	return row
+	return deadlineContenders.play("edf/"+mode,
+		EDFConfig{NeptuneFrames: neptuneFrames, CanyonFrames: canyonFrames, Canyons: 8},
+		appliance.VideoAttrs{QueueLen: 128, Sched: "edf", DeadlineFrom: mode})
 }

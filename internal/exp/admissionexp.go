@@ -10,7 +10,6 @@ import (
 	"scout/internal/display"
 	"scout/internal/host"
 	"scout/internal/mpeg"
-	"scout/internal/proto/inet"
 	"scout/internal/routers"
 )
 
@@ -40,83 +39,51 @@ func RunAdmission(frames int) AdmissionResult {
 	// (a) Correlation: observe per-frame (bits, cpu) from the running
 	// path, exactly as the paper proposes deriving the model parameters.
 	model := &admission.Model{}
-	full := playNeptune(frames, 1, model)
+	res.FullCPU, _ = playNeptune(frames, 1, model)
 	res.Samples = model.N()
 	res.R2 = model.R2()
 	res.SlopeNsBit = model.Slope()
 	res.InterceptUs = model.Intercept() / 1000
-	res.FullCPU = full.cpu
 
 	// (b) Early discard of skipped frames.
-	dec := playNeptune(frames, 3, nil)
-	res.DecimatedCPU = dec.cpu
-	res.EarlyDrops = dec.earlyDrops
-	if full.cpu > 0 {
-		res.SavedFrac = 1 - float64(dec.cpu)/float64(full.cpu)
+	res.DecimatedCPU, res.EarlyDrops = playNeptune(frames, 3, nil)
+	if res.FullCPU > 0 {
+		res.SavedFrac = 1 - float64(res.DecimatedCPU)/float64(res.FullCPU)
 	}
 	return res
 }
 
-type playResult struct {
-	cpu        time.Duration
-	earlyDrops int64
-	displayed  int64
-}
-
-func playNeptune(frames, decimate int, model *admission.Model) playResult {
-	eng, link := newWorld(9)
-	k, err := bootScout(eng, link, false)
-	if err != nil {
-		panic(err)
-	}
-	if model != nil {
-		k.Display.OnFrameDone = func(p *core.Path, f *display.Frame, cpu time.Duration) {
-			model.Observe(float64(f.Bits), cpu)
-		}
-	}
+// playNeptune plays the prefix paced at its native rate, displaying every
+// decimate-th frame, and returns the path's CPU time and early discards.
+func playNeptune(frames, decimate int, model *admission.Model) (cpu time.Duration, earlyDrops int64) {
 	clip := mpeg.Neptune
 	clip.Frames = frames
-	h := host.New(link, srcMAC, srcAddr)
-	fps := clip.FPS / decimate
-	va := &appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       fps,
-		Frames:    frames / decimate,
-		CostModel: true,
-		QueueLen:  32,
-	}
-	p, lport, err := k.CreateVideoPath(va)
-	if err != nil {
-		panic(err)
+	w := newWorld(worldSpec{seed: 9, streams: []streamSpec{{
+		attrs: appliance.VideoAttrs{
+			FPS: clip.FPS / decimate, Frames: frames / decimate, CostModel: true, QueueLen: 32,
+		},
+		source: host.SourceConfig{Clip: clip, SrcPort: 7000, CostOnly: true, Seed: 17},
+	}}})
+	s := w.streams[0]
+	if model != nil {
+		w.k.Display.OnFrameDone = func(p *core.Path, f *display.Frame, cpu time.Duration) {
+			model.Observe(float64(f.Bits), cpu)
+		}
 	}
 	if decimate > 1 {
 		// Install the early-discard filter the MPEG stage would install
 		// from PA_DECIMATE (set here post-creation to reuse one path
 		// creation flow for both runs).
-		p.EarlyDiscard = routers.DecimationFilter(decimate)
+		s.p.EarlyDiscard = routers.DecimationFilter(decimate)
 	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, Seed: 17, // paced at native fps
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
-	runUntil(eng, 10*time.Minute, func() bool {
-		done, _ := src.Done()
-		if !done {
-			return false
-		}
-		// Let the pipeline drain.
-		return p.Q[core.QInBWD].Empty()
-	})
-	eng.RunFor(500 * time.Millisecond)
-	sink := k.Display.Sink(p, "DISPLAY")
-	return playResult{cpu: p.CPUTime(), earlyDrops: p.EarlyDiscards, displayed: sink.Displayed()}
+	// Let the pipeline drain once the source is done.
+	runUntil(w.eng, 10*time.Minute, func() bool { return s.sent() && s.p.Q[core.QInBWD].Empty() })
+	w.eng.RunFor(500 * time.Millisecond)
+	return s.p.CPUTime(), s.p.EarlyDiscards
 }
 
-// PrintAdmission renders the result.
-func PrintAdmission(w io.Writer, r AdmissionResult) {
+// Print renders the result.
+func (r AdmissionResult) Print(w io.Writer) {
 	fprintf(w, "§4.4: admission control\n")
 	fprintf(w, "bits→CPU model over %d frames: cpu ≈ %.1fµs + %.0f ns/bit, R² = %.3f\n",
 		r.Samples, r.InterceptUs, r.SlopeNsBit, r.R2)

@@ -1,15 +1,14 @@
 package exp
 
 import (
+	"fmt"
 	"io"
 	"strconv"
 	"time"
 
 	"scout/internal/appliance"
-	"scout/internal/host"
 	"scout/internal/mpeg"
 	"scout/internal/pathtrace"
-	"scout/internal/proto/inet"
 )
 
 // E10: per-stage latency attribution for the Neptune MPEG path under a
@@ -60,73 +59,65 @@ type E10Row struct {
 	Tracer *pathtrace.Tracer
 }
 
+// E10Result is the ramp, one row per load level.
+type E10Result struct {
+	Cfg  E10Config
+	Rows []E10Row
+}
+
 // RunE10 runs the ramp, one fresh world per load level.
-func RunE10(cfg E10Config) []E10Row {
+func RunE10(cfg E10Config) E10Result {
 	cfg = cfg.withDefaults()
-	rows := make([]E10Row, 0, len(cfg.Loads))
+	res := E10Result{Cfg: cfg}
 	for _, load := range cfg.Loads {
-		rows = append(rows, runE10Level(cfg, load))
+		res.Rows = append(res.Rows, runE10Level(cfg, load))
 	}
-	return rows
+	return res
 }
 
 func runE10Level(cfg E10Config, load int) E10Row {
-	eng, link := newWorld(cfg.Seed)
-	bcfg := appliance.DefaultConfig()
-	bcfg.MAC, bcfg.Addr = scoutMAC, scoutAddr
-	bcfg.RefreshHz = 2000 // display never limits a max-rate run
-	bcfg.Tracing = true
-	k, err := appliance.Boot(eng, link, bcfg)
-	if err != nil {
-		panic(err)
-	}
-	h := host.New(link, srcMAC, srcAddr)
-
-	clip := mpeg.Neptune
-	if cfg.Frames > 0 {
-		clip.Frames = cfg.Frames
-	}
-	p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-		Source:     inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:        2000,
-		CostModel:  true,
-		QueueLen:   32,
-		Sched:      "rr",
-		Priority:   2, // the paper's "default round robin priority" (§4.3)
-		Trace:      true,
-		TraceLabel: clip.Name,
+	clip := prefix(mpeg.Neptune, cfg.Frames)
+	st := maxRateStream(clip, false)
+	st.attrs.Trace, st.attrs.TraceLabel = true, clip.Name
+	w := newWorld(worldSpec{
+		seed: cfg.Seed, maxRate: true, flood: load,
+		tune:    func(c *appliance.Config) { c.Tracing = true },
+		streams: []streamSpec{st},
 	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 11,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
+	s := w.streams[0]
+	end := w.play(10 * time.Minute)
 
-	if load > 0 {
-		ping := host.New(link, pingMAC, pingAddr)
-		ping.FloodEchoAdaptive(k.Cfg.Addr, load, 8, 30*time.Microsecond)
-	}
-
-	sink := k.Display.Sink(p, "DISPLAY")
-	total := src.NumFrames()
-	end := runUntil(eng, 10*time.Minute, func() bool {
-		return sink.Displayed() >= int64(total)
-	})
-
-	row := E10Row{Load: load, FPS: rate(sink.Displayed(), end), Tracer: k.Tracer}
-	doc := k.Tracer.MetricsDoc()
-	for _, pm := range doc.Paths {
-		if pm.PID == p.PID {
+	row := E10Row{Load: load, FPS: rate(s.sink.Displayed(), end), Tracer: w.k.Tracer}
+	for _, pm := range w.k.Tracer.MetricsDoc().Paths {
+		if pm.PID == s.p.PID {
 			row.Path = pm
 			break
 		}
 	}
 	return row
+}
+
+// Tracer is the highest-load level's tracer: the run mpegbench -trace and
+// -metrics export.
+func (r E10Result) Tracer() *pathtrace.Tracer { return r.Rows[len(r.Rows)-1].Tracer }
+
+// digestTo covers the report and both exports: all three are determined by
+// the seed.
+func (r E10Result) digestTo(w io.Writer) {
+	r.Print(w)
+	must(r.Tracer().WriteTrace(w))
+	must(r.Tracer().WriteMetricsJSON(w))
+}
+
+// Check requires every level to have traced its video path, so the exports
+// are not empty documents.
+func (r E10Result) Check() error {
+	for _, row := range r.Rows {
+		if row.Path.PID == 0 || len(row.Tracer.Events()) == 0 {
+			return fmt.Errorf("load %d: video path missing from the trace", row.Load)
+		}
+	}
+	return nil
 }
 
 // queueSummary finds the named queue row, returning a zero value if absent.
@@ -139,16 +130,13 @@ func queueSummary(pm pathtrace.PathMetrics, name string) pathtrace.QueueSummary 
 	return pathtrace.QueueSummary{}
 }
 
-// PrintE10 renders the ramp as a per-stage latency table.
-func PrintE10(w io.Writer, cfg E10Config, rows []E10Row) {
-	cfg = cfg.withDefaults()
-	frames := cfg.Frames
-	if frames == 0 {
-		frames = mpeg.Neptune.Frames
-	}
+// Print renders the ramp as a per-stage latency table.
+func (res E10Result) Print(w io.Writer) {
+	cfg := res.Cfg
+	frames := prefix(mpeg.Neptune, cfg.Frames).Frames
 	fprintf(w, "E10: Neptune per-stage latency attribution under ICMP flood ramp\n")
 	fprintf(w, "(%d frames, seed %d; flood is closed-loop with the given pipeline depth)\n\n", frames, cfg.Seed)
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		loadName := "unloaded"
 		if r.Load > 0 {
 			loadName = "flood depth " + strconv.Itoa(r.Load)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -13,7 +14,8 @@ func tinyE10() E10Config {
 }
 
 func TestE10SmokeBreakdownShape(t *testing.T) {
-	rows := RunE10(tinyE10())
+	res := RunE10(tinyE10())
+	rows := res.Rows
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -59,32 +61,16 @@ func TestE10SmokeBreakdownShape(t *testing.T) {
 		t.Errorf("flood did not increase irq steal: unloaded=%dns loaded=%dns",
 			unloaded.Path.Exec.StolenNs, loaded.Path.Exec.StolenNs)
 	}
-}
-
-// TestE10ExportsDeterministic is the CI determinism gate at tier-1 scale:
-// two same-seed runs must export byte-identical traces and metrics.
-func TestE10ExportsDeterministic(t *testing.T) {
-	cfg := E10Config{Frames: 40, Loads: []int{2}}
-	runOnce := func() ([]byte, []byte) {
-		rows := RunE10(cfg)
-		var tb, mb bytes.Buffer
-		if err := rows[0].Tracer.WriteTrace(&tb); err != nil {
+	// The exports the gate digests must be real documents, not empty ones.
+	for what, write := range map[string]func(io.Writer) error{
+		"trace": res.Tracer().WriteTrace, "metrics": res.Tracer().WriteMetricsJSON,
+	} {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
 			t.Fatal(err)
 		}
-		if err := rows[0].Tracer.WriteMetricsJSON(&mb); err != nil {
-			t.Fatal(err)
+		if b.Len() < 100 {
+			t.Errorf("%s export suspiciously small (%d bytes)", what, b.Len())
 		}
-		return tb.Bytes(), mb.Bytes()
-	}
-	t1, m1 := runOnce()
-	t2, m2 := runOnce()
-	if !bytes.Equal(t1, t2) {
-		t.Error("trace export differs across same-seed runs")
-	}
-	if !bytes.Equal(m1, m2) {
-		t.Error("metrics export differs across same-seed runs")
-	}
-	if len(t1) < 100 {
-		t.Fatalf("trace export suspiciously small (%d bytes)", len(t1))
 	}
 }

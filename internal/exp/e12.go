@@ -1,11 +1,11 @@
 package exp
 
 import (
+	"errors"
 	"io"
 	"time"
 
 	"scout/internal/appliance"
-	"scout/internal/host"
 	"scout/internal/mpeg"
 	"scout/internal/netdev"
 	"scout/internal/proto/inet"
@@ -30,25 +30,23 @@ import (
 type E12Config struct {
 	// Frames truncates the Neptune clip (0 = full).
 	Frames int
-	// FloodDepth is the adaptive ICMP flood pipeline depth (0 disables).
-	FloodDepth int
 	// Seed for the world (0 = 1).
 	Seed int64
 }
 
+// e12FloodDepth is the adaptive ICMP flood's pipeline depth.
+const e12FloodDepth = 2
+
 func (c E12Config) withDefaults() E12Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.FloodDepth == 0 {
-		c.FloodDepth = 2
 	}
 	return c
 }
 
 // SmokeE12Config is the CI-sized configuration.
 func SmokeE12Config() E12Config {
-	return E12Config{Frames: 150, FloodDepth: 2}
+	return E12Config{Frames: 150}
 }
 
 // E12Cell is one kernel's outputs plus its receive-path counters.
@@ -93,6 +91,14 @@ func sameOutputs(a, b E12Cell) bool {
 // Match reports whether the kernel agrees with the reference on every output.
 func (r E12Result) Match() bool { return sameOutputs(r.Fast, r.Ref) }
 
+// Check is Match as a gate.
+func (r E12Result) Check() error {
+	if !r.Match() {
+		return errors.New("outputs diverge from the reference kernel")
+	}
+	return nil
+}
+
 // RunE12 runs both kernels from the same seed.
 func RunE12(cfg E12Config) E12Result {
 	cfg = cfg.withDefaults()
@@ -103,66 +109,27 @@ func RunE12(cfg E12Config) E12Result {
 	}
 }
 
-// bootFunc is appliance.Boot or appliance.BootReference.
-type bootFunc func(*sim.Engine, *netdev.Link, appliance.Config) (*appliance.Kernel, error)
-
 func runE12Kernel(cfg E12Config, boot bootFunc) E12Cell {
+	clip := prefix(mpeg.Neptune, cfg.Frames)
 	// E12 runs the standard world plus link jitter: the link's monotone
 	// delivery clamp turns any jittered arrival that would overtake its
 	// predecessor into a same-instant arrival, so the device sees real
 	// multi-frame bursts (video and ICMP frames interleaved) instead of the
 	// size-1 bursts a jitterless serial link produces. The jitter draws come
-	// from the world seed, so both kernels see identical wire timing.
-	eng := sim.New(cfg.Seed)
-	link := netdev.NewLink(eng, netdev.LinkConfig{
-		BitsPerSec: linkBps,
-		Delay:      linkDelay,
-		Jitter:     2 * time.Millisecond,
+	// from the world seed, so both kernels see identical wire timing. The
+	// flood is background ICMP noise: frames the flow cache must leave to the
+	// full walk (not IPv4/UDP), interleaved with the cacheable video stream.
+	w := newWorld(worldSpec{
+		seed: cfg.Seed, maxRate: true, boot: boot, flood: e12FloodDepth,
+		link:    netdev.LinkConfig{Jitter: 2 * time.Millisecond},
+		streams: []streamSpec{maxRateStream(clip, false)},
 	})
-	bcfg := appliance.DefaultConfig()
-	bcfg.MAC, bcfg.Addr = scoutMAC, scoutAddr
-	bcfg.RefreshHz = 2000
-	k, err := boot(eng, link, bcfg)
-	if err != nil {
-		panic(err)
-	}
-	h := host.New(link, srcMAC, srcAddr)
-
-	clip := mpeg.Neptune
-	if cfg.Frames > 0 {
-		clip.Frames = cfg.Frames
-	}
-	p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       2000,
-		CostModel: true,
-		QueueLen:  32,
-		Sched:     "rr",
-		Priority:  2,
-	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 11,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
-
-	// Background ICMP noise: frames the flow cache must leave to the full
-	// walk (not IPv4/UDP), interleaved with the cacheable video stream.
-	var ping *host.Host
-	if cfg.FloodDepth > 0 {
-		ping = host.New(link, pingMAC, pingAddr)
-		ping.FloodEchoAdaptive(k.Cfg.Addr, cfg.FloodDepth, 8, 30*time.Microsecond)
-	}
+	k, p, sink := w.k, w.streams[0].p, w.streams[0].sink
 
 	// Mid-stream control-plane churn: a second path comes and goes, so the
 	// UDP binding table changes twice and the flow cache must invalidate
 	// (and then repopulate) while the stream is in flight.
-	eng.At(eng.Now().Add(200*time.Millisecond), func() {
+	w.eng.At(sim.Time(200*time.Millisecond), func() {
 		p2, _, err := k.CreateVideoPath(&appliance.VideoAttrs{
 			Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7001},
 			FPS:       30,
@@ -172,14 +139,10 @@ func runE12Kernel(cfg E12Config, boot bootFunc) E12Cell {
 		if err != nil {
 			return
 		}
-		eng.At(eng.Now().Add(300*time.Millisecond), func() { p2.Destroy() })
+		w.eng.At(w.eng.Now().Add(300*time.Millisecond), func() { p2.Destroy() })
 	})
 
-	sink := k.Display.Sink(p, "DISPLAY")
-	total := src.NumFrames()
-	end := runUntil(eng, 10*time.Minute, func() bool {
-		return sink.Displayed() >= int64(total)
-	})
+	end := w.play(10 * time.Minute)
 
 	cell := E12Cell{
 		Displayed:   sink.Displayed(),
@@ -191,9 +154,7 @@ func runE12Kernel(cfg E12Config, boot bootFunc) E12Cell {
 	}
 	cell.RxBursts, cell.BurstFrames = k.Dev.BurstStats()
 	cell.CompleteI, cell.CompleteP, _ = routers.MPEGCompleteByKind(p, "MPEG")
-	if ping != nil {
-		cell.PingEchoes = ping.EchoReplies
-	}
+	cell.PingEchoes = w.ping.EchoReplies
 	if fc := k.Dev.Flows; fc != nil {
 		st := fc.Stats()
 		cell.FlowHits, cell.FlowMisses = st.Hits, st.Misses
@@ -202,15 +163,12 @@ func runE12Kernel(cfg E12Config, boot bootFunc) E12Cell {
 	return cell
 }
 
-// PrintE12 renders the differential result.
-func PrintE12(w io.Writer, res E12Result) {
+// Print renders the differential result.
+func (res E12Result) Print(w io.Writer) {
 	cfg := res.Cfg
-	frames := cfg.Frames
-	if frames == 0 {
-		frames = mpeg.Neptune.Frames
-	}
+	frames := prefix(mpeg.Neptune, cfg.Frames).Frames
 	fprintf(w, "E12: receive-path differential (Neptune %d frames + ICMP flood depth %d, seed %d)\n",
-		frames, cfg.FloodDepth, cfg.Seed)
+		frames, e12FloodDepth, cfg.Seed)
 	fprintf(w, "%-13s %9s %6s %6s %8s %14s %14s\n",
 		"KERNEL", "DISPLAYED", "I-OK", "P-OK", "ECHOES", "PATH-CPU", "END")
 	row := func(name string, c E12Cell) {
@@ -234,10 +192,10 @@ func PrintE12(w io.Writer, res E12Result) {
 	fprintf(w, "burst: %d interrupt entries carried %d frames (%.2f frames/entry), %d frames shared an in-burst resolution\n",
 		f.RxBursts, f.BurstFrames, perEntry, f.BurstShared)
 	fprintf(w, "no-path drops: fast=%d reference=%d\n", f.NoPathDrops, res.Ref.NoPathDrops)
-	if res.Match() {
-		fprintf(w, "MATCH: outputs identical to the reference kernel\n")
+	if err := res.Check(); err != nil {
+		fprintf(w, "MISMATCH: %v\n", err)
 	} else {
-		fprintf(w, "MISMATCH: outputs diverge from the reference kernel\n")
+		fprintf(w, "MATCH: outputs identical to the reference kernel\n")
 	}
 	fprintf(w, "\nreading: the cache, the burst memo and fusion only change which host code\n")
 	fprintf(w, "classifies and delivers each frame — every virtual-time charge is the same\n")

@@ -4,12 +4,9 @@ import (
 	"io"
 	"time"
 
-	"scout/internal/appliance"
-	"scout/internal/host"
 	"scout/internal/mpath"
 	"scout/internal/mpeg"
 	"scout/internal/netdev"
-	"scout/internal/proto/inet"
 	"scout/internal/routers"
 	"scout/internal/sim"
 )
@@ -39,14 +36,16 @@ type E13Config struct {
 	Policies []string
 	// Seed for the world (0 = 1). Per-link fault streams derive from it.
 	Seed int64
-	// FaultAt is when the degraded link's fault plan installs (default
-	// 500ms); FaultLoss/FaultBurst/FaultBurstLen describe the degradation
-	// (defaults 5% independent + 5% burst loss, mean burst 8).
-	FaultAt       time.Duration
-	FaultLoss     float64
-	FaultBurst    float64
-	FaultBurstLen int
 }
+
+// The degradation: e13FaultAt is when the degraded link's fault plan installs;
+// the plan is 5% independent + 5% burst loss, mean burst 8.
+const (
+	e13FaultAt       = 500 * time.Millisecond
+	e13FaultLoss     = 0.05
+	e13FaultBurst    = 0.05
+	e13FaultBurstLen = 8
+)
 
 func (c E13Config) withDefaults() E13Config {
 	if c.Flows == 0 {
@@ -61,18 +60,6 @@ func (c E13Config) withDefaults() E13Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.FaultAt == 0 {
-		c.FaultAt = 500 * time.Millisecond
-	}
-	if c.FaultLoss == 0 {
-		c.FaultLoss = 0.05
-	}
-	if c.FaultBurst == 0 {
-		c.FaultBurst = 0.05
-	}
-	if c.FaultBurstLen == 0 {
-		c.FaultBurstLen = 8
-	}
 	return c
 }
 
@@ -82,18 +69,6 @@ func SmokeE13Config() E13Config {
 	return E13Config{Frames: 60}
 }
 
-// E13Flow is one flow's outcome in one cell.
-type E13Flow struct {
-	StartSub  int   // the flow's seeded/pinned subpath
-	Complete  int64 // frames that arrived whole
-	Displayed int64
-	Rate      float64 // complete frames per second of the flow's active time
-	Switches  int64
-	Repins    int64
-	FastRetx  int64
-	RTOs      int64
-}
-
 // E13Cell is one (k, policy, faulted) run of the competing-flow workload.
 type E13Cell struct {
 	K        int
@@ -101,9 +76,8 @@ type E13Cell struct {
 	Faulted  bool
 	Degraded int // index of the degraded link (-1 when not faulted)
 
-	Flows []E13Flow
-
-	// MeanRate averages the per-flow complete-frame rates; Jain is the
+	// MeanRate averages the per-flow complete-frame rates (complete frames
+	// per second of the flow's active time); Jain is the
 	// fairness index over per-flow complete counts (1 = perfectly fair).
 	MeanRate float64
 	Jain     float64
@@ -124,27 +98,7 @@ type E13Cell struct {
 type E13Result struct {
 	Cfg       E13Config
 	Baselines []E13Cell // one per k, Faulted = false
-	Cells     []E13Cell // len(Ks) × len(Policies), Faulted = true
-}
-
-// Baseline returns the unfaulted baseline cell for k (nil if absent).
-func (r *E13Result) Baseline(k int) *E13Cell {
-	for i := range r.Baselines {
-		if r.Baselines[i].K == k {
-			return &r.Baselines[i]
-		}
-	}
-	return nil
-}
-
-// Cell returns the faulted cell for (k, policy) (nil if absent).
-func (r *E13Result) Cell(k int, policy string) *E13Cell {
-	for i := range r.Cells {
-		if r.Cells[i].K == k && r.Cells[i].Policy == policy {
-			return &r.Cells[i]
-		}
-	}
-	return nil
+	Cells     []E13Cell // len(Ks) × len(Policies) in that order, Faulted = true
 }
 
 // jain computes Jain's fairness index over xs: (Σx)² / (n·Σx²).
@@ -179,69 +133,16 @@ func RunE13(cfg E13Config) E13Result {
 // runE13Cell boots a fresh k-link world and runs all flows to completion (or
 // stall) under one policy.
 func runE13Cell(cfg E13Config, k int, policy string, faulted bool) E13Cell {
-	eng := sim.New(cfg.Seed)
-	links := make([]*netdev.Link, k)
-	for i := range links {
-		// Links differ in propagation delay so latency actually ranks them;
-		// every link gets its own fault stream (engine seed ⊕ link ID).
-		links[i] = netdev.NewLink(eng, netdev.LinkConfig{
-			ID:         i,
-			BitsPerSec: linkBps,
-			Delay:      linkDelay + time.Duration(i)*20*time.Microsecond,
-		})
-	}
-	bcfg := appliance.DefaultConfig()
-	bcfg.MAC, bcfg.Addr = scoutMAC, scoutAddr
-	bcfg.RefreshHz = 2000
-	bcfg.ExtraLinks = links[1:]
-	kern, err := appliance.Boot(eng, links[0], bcfg)
-	if err != nil {
-		panic(err)
-	}
-	hosts := make([]*host.Host, k)
-	for i := range hosts {
-		hosts[i] = host.New(links[i], srcMAC, srcAddr)
-	}
-
-	clip := mpeg.Flower
-	if cfg.Frames > 0 {
-		clip.Frames = cfg.Frames
-	}
-
-	sets := make([]*mpath.PathSet, cfg.Flows)
-	srcs := make([]*host.Source, cfg.Flows)
+	clip := prefix(mpeg.Flower, cfg.Frames)
+	// Every link gets its own fault stream (engine seed ⊕ link ID).
+	spec := worldSpec{seed: cfg.Seed, maxRate: true, wires: k}
 	for f := 0; f < cfg.Flows; f++ {
-		basePort := uint16(7000 + 16*f)
-		startSub := f % k
-		ps, lport, err := kern.CreateVideoPathSet(&appliance.VideoAttrs{
-			Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: basePort},
-			FPS:       2000,
-			CostModel: true,
-			QueueLen:  32,
-			Sched:     "rr",
-			Priority:  2,
-			Reliable:  true,
-		}, k, policy, startSub)
-		if err != nil {
-			panic(err)
-		}
-		src, err := host.NewSource(hosts[0], host.SourceConfig{
-			Clip: clip, SrcPort: basePort, CostOnly: true, MaxRate: true, Seed: 11,
-			Retransmit: true,
-		})
-		if err != nil {
-			panic(err)
-		}
-		for i := 1; i < k; i++ {
-			src.AddSubflow(hosts[i], basePort+uint16(i))
-		}
-		src.Dispatch = ps.Dispatch
-		src.OnSubAck = ps.NoteAck
-		src.OnSubLoss = ps.NoteLoss
-		lp := lport
-		eng.At(0, func() { src.Start(kern.Cfg.Addr, lp) })
-		sets[f], srcs[f] = ps, src
+		st := maxRateStream(clip, true)
+		st.source.SrcPort = uint16(7000 + 16*f)
+		st.policy, st.startSub = policy, f%k
+		spec.streams = append(spec.streams, st)
 	}
+	w := newWorld(spec)
 
 	degraded := -1
 	if faulted {
@@ -251,73 +152,38 @@ func runE13Cell(cfg E13Config, k int, policy string, faulted bool) E13Cell {
 		if k > 1 {
 			degraded = 1
 		}
-		dl := links[degraded]
-		eng.At(sim.Time(cfg.FaultAt), func() {
+		dl := w.links[degraded]
+		w.eng.At(sim.Time(e13FaultAt), func() {
 			dl.InjectFaults(netdev.FaultPlan{
-				Loss:      cfg.FaultLoss,
-				BurstLoss: cfg.FaultBurst,
-				BurstLen:  cfg.FaultBurstLen,
+				Loss: e13FaultLoss, BurstLoss: e13FaultBurst, BurstLen: e13FaultBurstLen,
 			})
 		})
 	}
 
-	sinks := make([]interface{ Displayed() int64 }, cfg.Flows)
-	for f := 0; f < cfg.Flows; f++ {
-		sinks[f] = kern.Display.Sink(sets[f].Sub(0).Path, "DISPLAY")
-	}
-	total := int64(srcs[0].NumFrames())
-	lastDisp := make([]int64, cfg.Flows)
-	lastChange := make([]sim.Time, cfg.Flows)
-	var anyChange sim.Time
-	end := runUntil(eng, 10*time.Minute, func() bool {
-		done := true
-		for f := 0; f < cfg.Flows; f++ {
-			if d := sinks[f].Displayed(); d != lastDisp[f] {
-				lastDisp[f], lastChange[f] = d, eng.Now()
-				anyChange = eng.Now()
-			}
-			if lastDisp[f] < total {
-				done = false
-			}
-		}
-		if done {
-			return true
-		}
-		// Degraded pinned flows may never finish: stop once the whole cell
-		// has been quiet for 3 sim-seconds (beyond the 500ms RTO ceiling).
-		return anyChange > 0 && eng.Now().Sub(anyChange) >= 3*time.Second
-	})
+	// Degraded pinned flows may never finish; play's quiet period ends the
+	// cell for them.
+	end := w.play(10 * time.Minute)
+	total := w.streams[0].total
 
 	cell := E13Cell{K: k, Policy: policy, Faulted: faulted, Degraded: degraded}
 	var rates, degRates, cleanRates, completes []float64
 	var totalComplete int64
-	for f := 0; f < cfg.Flows; f++ {
-		p := sets[f].Sub(0).Path
-		complete, _ := routers.MPEGComplete(p, "MPEG")
-		at := lastChange[f]
+	for f, s := range w.streams {
+		complete, _ := routers.MPEGComplete(s.p, "MPEG")
+		at := s.lastChange
 		if at == 0 {
 			at = end
 		}
-		fl := E13Flow{
-			StartSub:  f % k,
-			Complete:  complete,
-			Displayed: sinks[f].Displayed(),
-			Rate:      rate(complete, at),
-			Switches:  sets[f].Switches(),
-			Repins:    sets[f].Repins(),
-			FastRetx:  srcs[f].FastRetransmits,
-			RTOs:      srcs[f].RTOs,
-		}
-		cell.Flows = append(cell.Flows, fl)
-		cell.Switches += fl.Switches
-		cell.Repins += fl.Repins
+		r := rate(complete, at)
+		cell.Switches += s.set.Switches()
+		cell.Repins += s.set.Repins()
 		totalComplete += complete
-		rates = append(rates, fl.Rate)
+		rates = append(rates, r)
 		completes = append(completes, float64(complete))
-		if fl.StartSub == degraded {
-			degRates = append(degRates, fl.Rate)
+		if f%k == degraded { // the flow's seeded/pinned subpath
+			degRates = append(degRates, r)
 		} else {
-			cleanRates = append(cleanRates, fl.Rate)
+			cleanRates = append(cleanRates, r)
 		}
 	}
 	cell.MeanRate = mean(rates)
@@ -339,29 +205,20 @@ func mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// PrintE13 renders the grid.
-func PrintE13(w io.Writer, res E13Result) {
+// Print renders the grid.
+func (res E13Result) Print(w io.Writer) {
 	cfg := res.Cfg
-	frames := cfg.Frames
-	if frames == 0 {
-		frames = mpeg.Flower.Frames
-	}
+	frames := prefix(mpeg.Flower, cfg.Frames).Frames
 	fprintf(w, "E13: multipath selection policies (%d flows x Flower %d frames, max-rate, seed %d)\n",
 		cfg.Flows, frames, cfg.Seed)
 	fprintf(w, "mid-run fault at %v: %.0f%% loss + %.0f%% burst loss (mean burst %d) on the degraded link\n",
-		cfg.FaultAt, cfg.FaultLoss*100, cfg.FaultBurst*100, cfg.FaultBurstLen)
+		e13FaultAt, e13FaultLoss*100, e13FaultBurst*100, e13FaultBurstLen)
 	fprintf(w, "%2s %-18s %7s %9s %6s %8s %7s %9s %9s\n",
 		"k", "policy", "mean", "complete", "jain", "switches", "repins", "deg-rate", "cln-rate")
-	for _, k := range cfg.Ks {
-		if b := res.Baseline(k); b != nil {
-			fprintf(w, "%2d %-18s %7.2f %8.1f%% %6.3f %8d %7d %9s %9s\n",
-				b.K, "unloaded-ref", b.MeanRate, b.CompleteFrac*100, b.Jain, b.Switches, b.Repins, "-", "-")
-		}
-		for _, pol := range cfg.Policies {
-			c := res.Cell(k, pol)
-			if c == nil {
-				continue
-			}
+	for i, b := range res.Baselines {
+		fprintf(w, "%2d %-18s %7.2f %8.1f%% %6.3f %8d %7d %9s %9s\n",
+			b.K, "unloaded-ref", b.MeanRate, b.CompleteFrac*100, b.Jain, b.Switches, b.Repins, "-", "-")
+		for _, c := range res.Cells[i*len(cfg.Policies) : (i+1)*len(cfg.Policies)] {
 			fprintf(w, "%2d %-18s %7.2f %8.1f%% %6.3f %8d %7d %9.2f %9.2f\n",
 				c.K, c.Policy, c.MeanRate, c.CompleteFrac*100, c.Jain, c.Switches, c.Repins,
 				c.DegradedRate, c.CleanRate)

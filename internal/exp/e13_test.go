@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // E13 acceptance: with one subpath degraded to 5% bursty loss mid-run, the
 // loss-aware policy must hold near the unloaded reference rate (it re-pins
@@ -41,27 +38,5 @@ func TestE13LossAwareHoldsRateUnderDegradation(t *testing.T) {
 	}
 	if pinned.Repins != 0 {
 		t.Fatalf("pinned policy re-pinned %d times", pinned.Repins)
-	}
-}
-
-// E13 determinism: the same seed must reproduce a cell byte-for-byte. The
-// full-grid guarantee is `make mpgate`; this covers the per-cell property in
-// the ordinary test suite.
-func TestE13Deterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multipath grid cell is slow")
-	}
-	cfg := SmokeE13Config()
-	cfg = cfg.withDefaults()
-	run := func() string {
-		res := E13Result{Cfg: cfg}
-		res.Cells = append(res.Cells, runE13Cell(cfg, 2, "round-robin-stripe", true))
-		var buf bytes.Buffer
-		PrintE13(&buf, res)
-		return buf.String()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same-seed E13 cells differ:\n--- first\n%s--- second\n%s", a, b)
 	}
 }

@@ -1,15 +1,12 @@
 package exp
 
 import (
+	"errors"
 	"io"
 	"time"
 
 	"scout/internal/appliance"
-	"scout/internal/chaos"
-	"scout/internal/host"
 	"scout/internal/mpeg"
-	"scout/internal/netdev"
-	"scout/internal/proto/inet"
 	"scout/internal/routers"
 	"scout/internal/sim"
 	"scout/internal/splice"
@@ -37,35 +34,26 @@ type E14Config struct {
 	Frames int
 	// Seed for the world (0 = 1).
 	Seed int64
-	// KillAt is when link 0 dies (default 250ms — mid-clip).
-	KillAt time.Duration
-	// Silence is the receive-silence window armed on NIC 0 (default 50ms:
-	// safely above the ~20ms decode-bound ack stalls of a healthy stream,
-	// well under the sender's RTO backoff scale).
-	Silence time.Duration
-	// Budget bounds the virtual time from link death to the migration's
-	// completion (default 100ms: one silence window + detector slack).
-	Budget time.Duration
-	// FailoverLosses is how many sender-side loss signals retire subflow 0
-	// (default 2: one RTO is jitter, two in a row is a dead wire).
-	FailoverLosses int
 }
+
+const (
+	// e14KillAt is when link 0 dies: mid-clip.
+	e14KillAt = 250 * time.Millisecond
+	// e14Silence is the receive-silence window armed on NIC 0: safely above
+	// the ~20ms decode-bound ack stalls of a healthy stream, well under the
+	// sender's RTO backoff scale.
+	e14Silence = 50 * time.Millisecond
+	// e14Budget bounds the virtual time from link death to the migration's
+	// completion: one silence window + detector slack.
+	e14Budget = 100 * time.Millisecond
+	// e14FailoverLosses is how many sender-side loss signals retire subflow
+	// 0: one RTO is jitter, two in a row is a dead wire.
+	e14FailoverLosses = 2
+)
 
 func (c E14Config) withDefaults() E14Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.KillAt == 0 {
-		c.KillAt = 250 * time.Millisecond
-	}
-	if c.Silence == 0 {
-		c.Silence = 50 * time.Millisecond
-	}
-	if c.Budget == 0 {
-		c.Budget = 100 * time.Millisecond
-	}
-	if c.FailoverLosses == 0 {
-		c.FailoverLosses = 2
 	}
 	return c
 }
@@ -119,13 +107,23 @@ func sameE14Outputs(a, b E14Cell) bool {
 // Match reports whether the kernel agrees with the reference on every output.
 func (r E14Result) Match() bool { return sameE14Outputs(r.Fast, r.Ref) }
 
+// Check is Ok as a gate.
+func (r E14Result) Check() error {
+	switch {
+	case r.Ok():
+		return nil
+	case !r.Match():
+		return errors.New("outputs diverge from the reference kernel")
+	}
+	return errors.New("migration gate violated (count, budget, frame loss, or audits)")
+}
+
 // Ok reports whether the migration gate holds on both kernels: exactly one
 // migration, within budget, every frame displayed complete, nothing
 // abandoned, conservation audits clean — and the two match.
 func (r E14Result) Ok() bool {
-	budget := int64(r.Cfg.withDefaults().Budget)
 	for _, c := range []E14Cell{r.Fast, r.Ref} {
-		if c.Migrations != 1 || c.MigrateLatencyNs > budget {
+		if c.Migrations != 1 || c.MigrateLatencyNs > int64(e14Budget) {
 			return false
 		}
 		if c.Displayed != c.Total || c.Incomplete != 0 || c.Abandoned != 0 {
@@ -148,56 +146,27 @@ func RunE14(cfg E14Config) E14Result {
 	}
 }
 
-func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
-	eng := sim.New(cfg.Seed)
-	links := make([]*netdev.Link, 2)
-	for i := range links {
-		// The spare link is slightly slower, so post-migration timing is
-		// visibly the new wire's, not an artifact of identical links.
-		links[i] = netdev.NewLink(eng, netdev.LinkConfig{
-			ID:         i,
-			BitsPerSec: linkBps,
-			Delay:      linkDelay + time.Duration(i)*20*time.Microsecond,
-		})
-	}
-	bcfg := appliance.DefaultConfig()
-	bcfg.MAC, bcfg.Addr = scoutMAC, scoutAddr
-	bcfg.RefreshHz = 2000
-	bcfg.ExtraLinks = links[1:]
-	kern, err := boot(eng, links[0], bcfg)
-	if err != nil {
-		panic(err)
-	}
-	// One sending host per wire, same identity: the same source address and
-	// source port on either link, so the flow's UDP 4-tuple — and therefore
-	// its demux identity — is unchanged by which wire carries it.
-	hostA := host.New(links[0], srcMAC, srcAddr)
-	hostB := host.New(links[1], srcMAC, srcAddr)
+// e14World is the two-NIC migration topology: a reliable Neptune stream over
+// wire 0 with wire 1 idle as the spare. The spare is slightly slower, so
+// post-migration timing is visibly the new wire's, not an artifact of
+// identical links. Each wire has a sending host of the same identity: the
+// same source address and source port on either link, so the flow's UDP
+// 4-tuple — and therefore its demux identity — is unchanged by which wire
+// carries it.
+func e14World(cfg E14Config, boot bootFunc) *world {
+	clip := prefix(mpeg.Neptune, cfg.Frames)
+	w := newWorld(worldSpec{
+		seed: cfg.Seed, maxRate: true, wires: 2, boot: boot,
+		streams: []streamSpec{maxRateStream(clip, true)},
+	})
+	w.streams[0].src.AddSubflow(w.hosts[1], 7000)
+	return w
+}
 
-	clip := mpeg.Neptune
-	if cfg.Frames > 0 {
-		clip.Frames = cfg.Frames
-	}
-	p, lport, err := kern.CreateVideoPath(&appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       2000,
-		CostModel: true,
-		QueueLen:  32,
-		Sched:     "rr",
-		Priority:  2,
-		Reliable:  true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(hostA, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 11,
-		Retransmit: true,
-	})
-	if err != nil {
-		panic(err)
-	}
-	src.AddSubflow(hostB, 7000)
+func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
+	w := e14World(cfg, boot)
+	eng, kern, links := w.eng, w.k, w.links
+	p, src, sink, total := w.streams[0].p, w.streams[0].src, w.streams[0].sink, w.streams[0].total
 
 	// Deterministic sender-side failover: all traffic rides subflow 0 until
 	// FailoverLosses consecutive loss signals retire it, then subflow 1.
@@ -207,7 +176,7 @@ func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
 	src.OnSubLoss = func(sub int) {
 		if active == 0 && sub == 0 {
 			lossCount++
-			if lossCount >= cfg.FailoverLosses {
+			if lossCount >= e14FailoverLosses {
 				active = 1
 				failoverAt = eng.Now()
 				// Failover burst: re-drive the whole unacked buffer through
@@ -218,23 +187,19 @@ func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
 			}
 		}
 	}
-	lp := lport
-	eng.At(0, func() { src.Start(kern.Cfg.Addr, lp) })
 
 	// Arm the migration: NIC 0's silence verdict routes through the path's
 	// overload plumbing and splice rebuilds the lower stages onto NIC 1.
 	mig := kern.NewMigrator()
-	if err := mig.Arm(splice.Plan{
+	must(mig.Arm(splice.Plan{
 		Path: p, From: kern.Devs[0], To: kern.Devs[1], ToLink: 1,
-		Silence: cfg.Silence,
-	}); err != nil {
-		panic(err)
-	}
+		Silence: e14Silence,
+	}))
 
 	// Kill the primary link mid-clip, sampling the flow-cache generations
 	// the migration must advance.
 	var gen0, gen1 uint64
-	eng.At(sim.Time(cfg.KillAt), func() {
+	eng.At(sim.Time(e14KillAt), func() {
 		if fc := kern.Devs[0].Flows; fc != nil {
 			gen0 = fc.Gen()
 		}
@@ -244,21 +209,8 @@ func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
 		links[0].SetDown()
 	})
 
-	sink := kern.Display.Sink(p, "DISPLAY")
-	total := int64(src.NumFrames())
-	var lastDisp int64
-	var lastChange sim.Time
-	end := runUntil(eng, 10*time.Minute, func() bool {
-		if d := sink.Displayed(); d != lastDisp {
-			lastDisp, lastChange = d, eng.Now()
-		}
-		if lastDisp >= total {
-			return true
-		}
-		// A wedged migration must not hang the gate: stop after 3 quiet
-		// sim-seconds (beyond the RTO ceiling and the hold flush).
-		return lastChange > 0 && eng.Now().Sub(lastChange) >= 3*time.Second
-	})
+	// A wedged migration must not hang the gate: play's quiet period ends it.
+	end := w.play(10 * time.Minute)
 
 	cell := E14Cell{
 		Total:         total,
@@ -277,7 +229,7 @@ func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
 	cell.Migrations = len(ms)
 	if len(ms) > 0 {
 		cell.MigrateAtNs = int64(ms[0].At)
-		cell.MigrateLatencyNs = int64(ms[0].At.Sub(sim.Time(cfg.KillAt)))
+		cell.MigrateLatencyNs = int64(ms[0].At.Sub(sim.Time(e14KillAt)))
 	}
 	if fc := kern.Devs[0].Flows; fc != nil {
 		cell.OldGenBumped = fc.Gen() > gen0
@@ -285,29 +237,19 @@ func runE14Kernel(cfg E14Config, boot bootFunc) E14Cell {
 	if fc := kern.Devs[1].Flows; fc != nil {
 		cell.NewGenBumped = fc.Gen() > gen1
 	}
-	// Conservation must hold with the path alive (nothing the pause retained
-	// leaked) and after destroy (queues drained, memory released).
-	for _, v := range chaos.AuditPath(p) {
-		cell.AuditViolations = append(cell.AuditViolations, v.String())
-	}
-	p.Destroy()
-	for _, v := range chaos.AuditPath(p) {
-		cell.AuditViolations = append(cell.AuditViolations, v.String())
-	}
+	// Nothing the pause retained may have leaked.
+	cell.AuditViolations = auditAndDestroy(p)
 	return cell
 }
 
-// PrintE14 renders the migration differential.
-func PrintE14(w io.Writer, res E14Result) {
+// Print renders the migration differential.
+func (res E14Result) Print(w io.Writer) {
 	cfg := res.Cfg
-	frames := cfg.Frames
-	if frames == 0 {
-		frames = mpeg.Neptune.Frames
-	}
+	frames := prefix(mpeg.Neptune, cfg.Frames).Frames
 	fprintf(w, "E14: live path migration (Neptune %d frames, link killed at %v, seed %d)\n",
-		frames, cfg.KillAt, cfg.Seed)
+		frames, e14KillAt, cfg.Seed)
 	fprintf(w, "detector: %v receive silence; migration budget %v; sender fails over after %d losses\n",
-		cfg.Silence, cfg.Budget, cfg.FailoverLosses)
+		e14Silence, e14Budget, e14FailoverLosses)
 	fprintf(w, "%-13s %9s %6s %6s %6s %12s %12s %14s %14s\n",
 		"KERNEL", "DISPLAYED", "I-OK", "P-OK", "INCOMP", "MIGRATE-AT", "MIG-LAT", "PATH-CPU", "END")
 	row := func(name string, c E14Cell) {
@@ -335,13 +277,14 @@ func PrintE14(w io.Writer, res E14Result) {
 	if audits == 0 {
 		fprintf(w, "conservation audits clean on both kernels (pre- and post-destroy)\n")
 	}
-	if res.Ok() {
+	switch err := res.Check(); {
+	case err == nil:
 		fprintf(w, "OK: migrated once within budget, zero incomplete frames, outputs identical\n")
 		fprintf(w, "    to the reference kernel\n")
-	} else if !res.Match() {
-		fprintf(w, "MISMATCH: outputs diverge from the reference kernel\n")
-	} else {
-		fprintf(w, "FAILED: migration gate violated (count, budget, frame loss, or audits)\n")
+	case !res.Match():
+		fprintf(w, "MISMATCH: %v\n", err)
+	default:
+		fprintf(w, "FAILED: %v\n", err)
 	}
 	fprintf(w, "\nreading: the path object survives its device: explicit paths let the OS\n")
 	fprintf(w, "pause a flow at a stage boundary, rebuild everything below it on a healthy\n")

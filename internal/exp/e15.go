@@ -2,6 +2,7 @@ package exp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -9,12 +10,10 @@ import (
 	"time"
 
 	"scout/internal/appliance"
-	"scout/internal/core"
 	"scout/internal/host"
 	"scout/internal/mpeg"
 	"scout/internal/netdev"
 	"scout/internal/pathtrace"
-	"scout/internal/proto/inet"
 	"scout/internal/routers"
 	"scout/internal/sim"
 )
@@ -36,7 +35,7 @@ import (
 // they are the one thing that is *supposed* to change with S.
 //
 // At the default size the world holds Groups × PathsPerGroup = 102,400
-// simultaneous video paths (the 10^5 target; -e15-smoke is CI-sized). The
+// simultaneous video paths (the 10^5 target; -smoke is CI-sized). The
 // speedup target (≥3× at 4 shards) only has meaning on a multicore host;
 // RunE15 records runtime.NumCPU so callers can gate honestly.
 
@@ -148,6 +147,19 @@ func (r E15Result) Match() bool {
 	return true
 }
 
+// Check is Match as a gate, plus the speedup target (≥3× at 4 shards) on a
+// host where it means something: multicore CI and laptops assert it,
+// smaller containers report honestly.
+func (r E15Result) Check() error {
+	if !r.Match() {
+		return errors.New("shard counts diverge: sharding leaked into the simulation")
+	}
+	if sp := r.SpeedupAt(4); r.CPUs >= 4 && sp > 0 && sp < 3.0 {
+		return fmt.Errorf("speedup at 4 shards %.2fx, want >= 3x", sp)
+	}
+	return nil
+}
+
 // SpeedupAt returns the wall-clock speedup of the s-shard row over the
 // baseline row (0 when either is missing or unmeasured).
 func (r E15Result) SpeedupAt(s int) float64 {
@@ -178,18 +190,11 @@ func RunE15(cfg E15Config) E15Result {
 	return res
 }
 
-// e15Group is one world's handles, kept for the post-run digest.
-type e15Group struct {
-	k     *appliance.Kernel
-	paths []*core.Path
-	srcs  []*host.Source
-}
-
 func runE15Shard(cfg E15Config, clip mpeg.ClipSpec, prep *host.Prepared, shards int) E15Row {
 	const lookahead = time.Millisecond
 	c := sim.NewCluster(cfg.Seed, shards, lookahead)
-	groups := make([]e15Group, cfg.Groups)
-	for g := 0; g < cfg.Groups; g++ {
+	groups := make([]*world, cfg.Groups)
+	for g := range groups {
 		groups[g] = bootE15Group(cfg, clip, prep, c, g)
 	}
 
@@ -216,17 +221,15 @@ func runE15Shard(cfg E15Config, clip mpeg.ClipSpec, prep *host.Prepared, shards 
 		}
 	}
 	var tracers []*pathtrace.Tracer
-	for g := range groups {
-		gr := &groups[g]
-		for i, p := range gr.paths {
-			ci, cp, _ := routers.MPEGCompleteByKind(p, "MPEG")
-			src := gr.srcs[i]
-			_, doneAt := src.Done()
-			mix(ci, cp, int64(p.CPUTime()), src.PacketsSent, src.AcksReceived, int64(doneAt))
+	for _, gr := range groups {
+		for _, s := range gr.streams {
+			ci, cp, _ := routers.MPEGCompleteByKind(s.p, "MPEG")
+			_, doneAt := s.src.Done()
+			mix(ci, cp, int64(s.p.CPUTime()), s.src.PacketsSent, s.src.AcksReceived, int64(doneAt))
 			row.CompleteI += ci
 			row.CompleteP += cp
-			row.Packets += src.PacketsSent
-			row.Acks += src.AcksReceived
+			row.Packets += s.src.PacketsSent
+			row.Acks += s.src.AcksReceived
 		}
 		if cfg.Trace {
 			tracers = append(tracers, gr.k.Tracer)
@@ -235,81 +238,59 @@ func runE15Shard(cfg E15Config, clip mpeg.ClipSpec, prep *host.Prepared, shards 
 	row.Digest = h.Sum64()
 	if cfg.Trace {
 		th := fnv.New64a()
-		if err := pathtrace.WriteMergedTrace(th, tracers...); err != nil {
-			panic(err)
-		}
+		must(pathtrace.WriteMergedTrace(th, tracers...))
 		row.TraceDigest = th.Sum64()
 	}
 	return row
 }
 
-// bootE15Group builds world g on its shard: a kernel, a link (cross-shard
-// for every CrossEvery-th group), and PathsPerGroup path+source pairs.
-func bootE15Group(cfg E15Config, clip mpeg.ClipSpec, prep *host.Prepared, c *sim.Cluster, g int) e15Group {
-	eng := c.Shard(g % c.Shards())
-	cross := cfg.CrossEvery > 0 && g%cfg.CrossEvery == 0
-	var link *netdev.Link
-	var h *host.Host
-	if cross {
+// bootE15Group builds world g on its shard: a kernel, a 1 Gb/s link
+// (cross-shard for every CrossEvery-th group), and PathsPerGroup path+source
+// pairs.
+func bootE15Group(cfg E15Config, clip mpeg.ClipSpec, prep *host.Prepared, c *sim.Cluster, g int) *world {
+	spec := worldSpec{
+		shard: c.Shard(g % c.Shards()),
+		link:  netdev.LinkConfig{BitsPerSec: 1_000_000_000},
+		tune: func(bc *appliance.Config) {
+			bc.DisplayW, bc.DisplayH = clip.W, clip.H
+			bc.RefreshHz = 30
+			bc.StarveAfter = -1 // massively multi-path by design; no starvation log
+			bc.Tracing = cfg.Trace
+		},
+	}
+	if cfg.CrossEvery > 0 && g%cfg.CrossEvery == 0 {
 		// The kernel lives on the link's home side; the source host sits one
 		// shard over, so its whole stream crosses a window barrier.
-		far := c.Shard((g + 1) % c.Shards())
-		link = netdev.NewCrossLink(c, int64(g)+1, eng, far,
-			netdev.LinkConfig{BitsPerSec: 1_000_000_000, Delay: c.Lookahead()})
-		h = host.NewOn(link, srcMAC, srcAddr, far)
-	} else {
-		link = netdev.NewLink(eng, netdev.LinkConfig{BitsPerSec: 1_000_000_000, Delay: linkDelay})
-		h = host.New(link, srcMAC, srcAddr)
+		spec.cross = &crossWire{c: c, xid: int64(g) + 1, far: c.Shard((g + 1) % c.Shards())}
+		spec.link.Delay = c.Lookahead()
 	}
-
-	bcfg := appliance.DefaultConfig()
-	bcfg.MAC, bcfg.Addr = scoutMAC, scoutAddr
-	bcfg.DisplayW, bcfg.DisplayH = clip.W, clip.H
-	bcfg.RefreshHz = 30
-	bcfg.StarveAfter = -1 // massively multi-path by design; no starvation log
-	bcfg.Tracing = cfg.Trace
-	k, err := appliance.Boot(eng, link, bcfg)
-	if err != nil {
-		panic(err)
-	}
-
-	gr := e15Group{k: k}
 	for i := 0; i < cfg.PathsPerGroup; i++ {
 		port := uint16(7000 + i)
-		p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-			Source:     inet.Participants{RemoteAddr: srcAddr, RemotePort: port},
-			FPS:        e15FPS,
-			Frames:     cfg.Frames,
-			CostModel:  true,
-			QueueLen:   8,
-			Sched:      "rr",
-			Priority:   2,
-			Trace:      cfg.Trace && i == 0,
-			TraceLabel: "scale",
+		spec.streams = append(spec.streams, streamSpec{
+			attrs: appliance.VideoAttrs{
+				FPS: e15FPS, Frames: cfg.Frames, CostModel: true, QueueLen: 8,
+				Sched: "rr", Priority: 2,
+				Trace: cfg.Trace && i == 0, TraceLabel: "scale",
+			},
+			source: host.SourceConfig{Prepared: prep, SrcPort: port, FPS: e15FPS, Seed: 11},
+			// Stagger starts so path setup (ARP, first windows) doesn't land on
+			// one instant; the offsets depend only on the path index.
+			startAt: time.Duration(i%32) * 500 * time.Microsecond,
 		})
-		if err != nil {
-			panic(err)
-		}
-		src, err := host.NewSource(h, host.SourceConfig{
-			Prepared: prep, SrcPort: port, FPS: e15FPS, Seed: 11,
-		})
-		if err != nil {
-			panic(err)
-		}
-		// Stagger starts so path setup (ARP, first windows) doesn't land on
-		// one instant; the offsets depend only on the path index.
-		start := sim.Time(time.Duration(i%32) * 500 * time.Microsecond)
-		h.Engine().At(start, func() { src.Start(k.Cfg.Addr, lport) })
-		gr.paths = append(gr.paths, p)
-		gr.srcs = append(gr.srcs, src)
 	}
-	return gr
+	return newWorld(spec)
 }
 
-// PrintE15 renders the sweep and the cross-shard-count gate verdict. Lines
+// Print renders the sweep and the cross-shard-count gate verdict. Lines
 // carrying wall-clock quantities are prefixed "wall-clock" so recorded
 // outputs can exclude them (they legitimately vary run to run).
-func PrintE15(w io.Writer, res E15Result) {
+func (res E15Result) Print(w io.Writer) { res.print(w, true) }
+
+// digestTo is Print without what was measured about the host: the wall-clock
+// lines and the CPU count.
+func (res E15Result) digestTo(w io.Writer) { res.print(w, false) }
+
+func (res E15Result) print(w io.Writer, hostLines bool) {
 	cfg := res.Cfg
 	fprintf(w, "E15: sharded simulation scale — %d groups × %d paths = %d concurrent video paths\n",
 		cfg.Groups, cfg.PathsPerGroup, res.Paths)
@@ -326,7 +307,7 @@ func PrintE15(w io.Writer, res E15Result) {
 			res.Rows[0].TraceDigest, cfg.Groups)
 	}
 	for _, r := range res.Rows {
-		if r.WallSeconds <= 0 {
+		if r.WallSeconds <= 0 || !hostLines {
 			continue
 		}
 		line := ""
@@ -341,7 +322,9 @@ func PrintE15(w io.Writer, res E15Result) {
 	} else {
 		fprintf(w, "MISMATCH: shard counts diverge — sharding leaked into the simulation\n")
 	}
-	fprintf(w, "(host has %d CPUs; the ≥3x-at-4-shards target is asserted only with ≥4)\n", res.CPUs)
+	if hostLines {
+		fprintf(w, "(host has %d CPUs; the ≥3x-at-4-shards target is asserted only with ≥4)\n", res.CPUs)
+	}
 	fprintf(w, "\nreading: shard-local event queues run a conservative window at a time\n")
 	fprintf(w, "(lookahead = the minimum cross-shard link latency) and exchange frames\n")
 	fprintf(w, "only at window barriers, so adding shards changes which goroutine runs\n")

@@ -13,7 +13,7 @@ func TestE15SmokeMatchesAcrossShards(t *testing.T) {
 	res := RunE15(SmokeE15Config())
 	if !res.Match() {
 		var b bytes.Buffer
-		PrintE15(&b, res)
+		res.Print(&b)
 		t.Fatalf("shard counts diverged:\n%s", b.String())
 	}
 	r := res.Rows[0]
@@ -54,7 +54,7 @@ func TestE15PrintMarksWallClockLines(t *testing.T) {
 	cfg.Wall = func() time.Duration { fake += time.Second; return fake }
 	res := RunE15(cfg)
 	var b bytes.Buffer
-	PrintE15(&b, res)
+	res.Print(&b)
 	sawRate := false
 	for _, line := range strings.Split(b.String(), "\n") {
 		volatile := strings.Contains(line, "events/s") || strings.Contains(line, "speedup")

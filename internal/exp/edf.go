@@ -1,14 +1,12 @@
 package exp
 
 import (
-	"fmt"
 	"io"
 	"time"
 
 	"scout/internal/appliance"
 	"scout/internal/host"
 	"scout/internal/mpeg"
-	"scout/internal/proto/inet"
 )
 
 // EDFRow is one configuration of the §4.3 scheduling experiment: 8 Canyon
@@ -24,6 +22,9 @@ type EDFRow struct {
 	CanyonMissed, CanyonTotal   int64
 }
 
+// EDFRows is the scheduler × queue-size sweep.
+type EDFRows []EDFRow
+
 // EDFConfig bounds the experiment (full-length clips by default).
 type EDFConfig struct {
 	NeptuneFrames int // default 1345
@@ -32,7 +33,7 @@ type EDFConfig struct {
 }
 
 // RunEDF runs the experiment for each scheduler × queue-size combination.
-func RunEDF(cfg EDFConfig, scheds []string, queueLens []int) []EDFRow {
+func RunEDF(cfg EDFConfig, scheds []string, queueLens []int) EDFRows {
 	if cfg.NeptuneFrames == 0 {
 		cfg.NeptuneFrames = mpeg.Neptune.Frames
 	}
@@ -48,108 +49,80 @@ func RunEDF(cfg EDFConfig, scheds []string, queueLens []int) []EDFRow {
 	if queueLens == nil {
 		queueLens = []int{16, 32, 64, 128}
 	}
-	var rows []EDFRow
+	var rows EDFRows
 	for _, sc := range scheds {
 		for _, ql := range queueLens {
-			rows = append(rows, runEDFOnce(cfg, sc, ql))
+			rows = append(rows, edfContenders.play(sc, cfg, appliance.VideoAttrs{
+				QueueLen: ql, Sched: sc,
+				Priority: 2, // single-priority RR: everyone at the default
+			}))
 		}
 	}
 	return rows
 }
 
-func runEDFOnce(cfg EDFConfig, sc string, queueLen int) EDFRow {
-	eng, link := newWorld(3)
-	k, err := bootScout(eng, link, false) // real 60 Hz display
-	if err != nil {
-		panic(err)
-	}
+// contenders identifies one instance of §4.3's workload — a Neptune movie at
+// 30 fps against Canyon movies at 10 fps on a real 60 Hz display — by its
+// world seed and where its senders' MACs, addresses and clip seeds start:
+// each stream gets a source host of its own.
+type contenders struct {
+	seed      int64
+	mac, addr byte
+	clipSeed  int64
+}
 
-	type stream struct {
-		clip   mpeg.ClipSpec
-		fps    int
-		sinkAt int // index into sinks
-	}
-	neptune := mpeg.Neptune
-	neptune.Frames = cfg.NeptuneFrames
-	canyon := mpeg.Canyon
-	canyon.Frames = cfg.CanyonFrames
+var (
+	edfContenders      = contenders{seed: 3, mac: 0x40, addr: 100, clipSeed: 21}
+	deadlineContenders = contenders{seed: 6, mac: 0x60, addr: 150, clipSeed: 31}
+)
 
-	streams := []stream{{clip: neptune, fps: 30}}
-	for i := 0; i < cfg.Canyons; i++ {
-		streams = append(streams, stream{clip: canyon, fps: 10})
-	}
-
-	row := EDFRow{Sched: sc, QueueLen: queueLen}
-	var sinks []*sinkRef
-	for i, st := range streams {
-		// Each stream gets its own source host (own MAC/IP) so ARP and
-		// UDP demux keys stay distinct.
-		mac := srcMAC
-		mac[5] = byte(0x40 + i)
-		addr := srcAddr
-		addr[3] = byte(100 + i)
-		h := host.New(link, mac, addr)
-		va := &appliance.VideoAttrs{
-			Source:    inet.Participants{RemoteAddr: addr, RemotePort: 7000},
-			FPS:       st.fps,
-			Frames:    st.clip.Frames,
-			CostModel: true,
-			QueueLen:  queueLen,
-			Sched:     sc,
-			Priority:  2, // single-priority RR: everyone at the default
+// play runs the workload, every path created from attrs, until the Neptune
+// sink has accounted for every frame (display or miss); its clip is the
+// shortest in wall-clock terms. sched labels the row.
+func (c contenders) play(sched string, cfg EDFConfig, attrs appliance.VideoAttrs) EDFRow {
+	neptune, canyon := mpeg.Neptune, mpeg.Canyon
+	neptune.Frames, canyon.Frames = cfg.NeptuneFrames, cfg.CanyonFrames
+	spec := worldSpec{seed: c.seed}
+	for i := 0; i <= cfg.Canyons; i++ {
+		clip, fps := canyon, 10
+		if i == 0 {
+			clip, fps = neptune, 30
 		}
-		p, lport, err := k.CreateVideoPath(va)
-		if err != nil {
-			panic(err)
+		ss := streamSpec{attrs: attrs, mac: srcMAC, addr: srcAddr}
+		ss.mac[5], ss.addr[3] = c.mac+byte(i), c.addr+byte(i)
+		ss.attrs.FPS, ss.attrs.Frames, ss.attrs.CostModel = fps, clip.Frames, true
+		ss.source = host.SourceConfig{
+			Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: c.clipSeed + int64(i),
 		}
-		src, err := host.NewSource(h, host.SourceConfig{
-			Clip: st.clip, SrcPort: 7000, CostOnly: true, MaxRate: true,
-			Seed: int64(21 + i),
-		})
-		if err != nil {
-			panic(err)
-		}
-		kAddr := k.Cfg.Addr
-		port := lport
-		eng.At(0, func() { src.Start(kAddr, port) })
-		sinks = append(sinks, &sinkRef{sink: k.Display.Sink(p, "DISPLAY"), neptune: i == 0})
+		spec.streams = append(spec.streams, ss)
 	}
-
-	// Run until the Neptune sink has accounted for every frame (display
-	// or miss); its clip is the shortest in wall-clock terms.
-	nep := sinks[0].sink
-	runUntil(eng, 30*time.Minute, nep.Done)
-	for _, sr := range sinks {
-		if sr.neptune {
-			row.NeptuneMissed += sr.sink.Missed()
-			row.NeptuneTotal += sr.sink.Displayed() + sr.sink.Missed()
+	w := newWorld(spec)
+	runUntil(w.eng, 30*time.Minute, w.streams[0].sink.Done)
+	row := EDFRow{Sched: sched, QueueLen: attrs.QueueLen}
+	for i, s := range w.streams {
+		missed, owed := s.sink.Missed(), s.sink.Displayed()+s.sink.Missed()
+		if i == 0 {
+			row.NeptuneMissed, row.NeptuneTotal = missed, owed
 		} else {
-			row.CanyonMissed += sr.sink.Missed()
-			row.CanyonTotal += sr.sink.Displayed() + sr.sink.Missed()
+			row.CanyonMissed += missed
+			row.CanyonTotal += owed
 		}
 	}
 	return row
 }
 
-type sinkRef struct {
-	sink interface {
-		Missed() int64
-		Displayed() int64
-		Done() bool
-	}
-	neptune bool
-}
-
-// PrintEDF renders the sweep.
-func PrintEDF(w io.Writer, rows []EDFRow) {
+// Print renders the sweep.
+func (rows EDFRows) Print(w io.Writer) {
 	fprintf(w, "§4.3: deadline misses, 8×Canyon@10fps + Neptune@30fps\n")
 	fprintf(w, "(paper: EDF misses none; single-priority RR with 128-frame queues\n")
 	fprintf(w, " misses ≈850 of Neptune's 1345)\n")
-	fprintf(w, "%-6s %6s | %14s | %14s\n", "sched", "qlen", "Neptune missed", "Canyon missed")
+	width := 6 // of the sched column; the deadline-mode ablation's labels are longer
 	for _, r := range rows {
-		fprintf(w, "%-6s %6d | %7d/%6d | %7d/%6d\n",
-			r.Sched, r.QueueLen, r.NeptuneMissed, r.NeptuneTotal, r.CanyonMissed, r.CanyonTotal)
+		width = max(width, len(r.Sched))
+	}
+	fprintf(w, "%-*s %6s | %14s | %14s\n", width, "sched", "qlen", "Neptune missed", "Canyon missed")
+	for _, r := range rows {
+		fprintf(w, "%-*s %6d | %7d/%6d | %7d/%6d\n",
+			width, r.Sched, r.QueueLen, r.NeptuneMissed, r.NeptuneTotal, r.CanyonMissed, r.CanyonTotal)
 	}
 }
-
-var _ = fmt.Sprintf

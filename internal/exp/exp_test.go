@@ -3,8 +3,6 @@ package exp
 import (
 	"testing"
 	"time"
-
-	"scout/internal/mpeg"
 )
 
 // The experiment tests assert the paper's *shapes* — who wins, by roughly
@@ -172,8 +170,8 @@ func TestDemuxFindsVideoPath(t *testing.T) {
 }
 
 func TestILPTransformationReducesCost(t *testing.T) {
-	withILP := scoutCostPerPacket(t, true)
-	without := scoutCostPerPacket(t, false)
+	withILP := RunILP(true, 100)
+	without := RunILP(false, 100)
 	if withILP >= without {
 		t.Errorf("ILP fused path cost %v >= unfused %v", withILP, without)
 	}
@@ -181,28 +179,5 @@ func TestILPTransformationReducesCost(t *testing.T) {
 	saved := without - withILP
 	if saved < time.Microsecond || saved > 10*time.Microsecond {
 		t.Errorf("ILP saved %v per packet, expected a few µs", saved)
-	}
-}
-
-func scoutCostPerPacket(t *testing.T, ilp bool) time.Duration {
-	t.Helper()
-	r := RunILP(ilp, 100)
-	return r
-}
-
-var _ = mpeg.Neptune
-
-// Determinism: the whole evaluation runs on the virtual clock, so repeated
-// runs must agree bit for bit.
-func TestExperimentsAreDeterministic(t *testing.T) {
-	a := ScoutMaxRate(mpeg.Canyon, false)
-	b := ScoutMaxRate(mpeg.Canyon, false)
-	if a != b {
-		t.Fatalf("two identical runs measured %.6f and %.6f fps", a, b)
-	}
-	r1 := RunEDF(EDFConfig{NeptuneFrames: 200, CanyonFrames: 300}, []string{"rr"}, []int{64})
-	r2 := RunEDF(EDFConfig{NeptuneFrames: 200, CanyonFrames: 300}, []string{"rr"}, []int{64})
-	if r1[0] != r2[0] {
-		t.Fatalf("EDF runs diverged: %+v vs %+v", r1[0], r2[0])
 	}
 }

@@ -4,14 +4,10 @@ import (
 	"io"
 	"time"
 
-	"scout/internal/appliance"
-	"scout/internal/host"
 	"scout/internal/mpeg"
 	"scout/internal/netdev"
-	"scout/internal/proto/inet"
 	"scout/internal/proto/mflow"
 	"scout/internal/routers"
-	"scout/internal/sim"
 )
 
 // E9: decode quality under packet loss. The paper's experiments ran on a
@@ -31,9 +27,8 @@ type LossCell struct {
 	// packets missing, per second. Holed frames still display (a glitch),
 	// so the displayed rate alone would hide the damage.
 	FPS float64
-	// Complete and Displayed count frames at the MPEG/DISPLAY stages.
-	Complete  int64
-	Displayed int64
+	// Complete counts the frames that left the MPEG stage whole.
+	Complete int64
 	// Retransmits and RTOs are sender-side recovery counters.
 	Retransmits int64
 	RTOs        int64
@@ -50,93 +45,58 @@ type LossRow struct {
 	On, Off LossCell
 }
 
+// LossResult is the E9 sweep for one clip.
+type LossResult struct {
+	Clip string
+	Rows []LossRow
+}
+
 // RunLoss sweeps the E9 grid for one clip.
-func RunLoss(clip mpeg.ClipSpec) []LossRow {
-	rows := make([]LossRow, 0, len(LossRates))
+func RunLoss(clip mpeg.ClipSpec) LossResult {
+	res := LossResult{Clip: clip.Name}
 	for _, rate := range LossRates {
-		rows = append(rows, LossRow{
+		res.Rows = append(res.Rows, LossRow{
 			LossPct: rate * 100,
 			On:      LossMaxRate(clip, rate, true),
 			Off:     LossMaxRate(clip, rate, false),
 		})
 	}
-	return rows
+	return res
 }
 
 // LossMaxRate streams clip at maximum rate through the Scout appliance over
 // a link with the given loss probability, returning the run's counters.
 // retransmit selects reliable MFLOW on the path and a retransmitting source.
 func LossMaxRate(clip mpeg.ClipSpec, loss float64, retransmit bool) LossCell {
-	eng, link := newWorld(2)
+	spec := worldSpec{seed: 2, maxRate: true, streams: []streamSpec{maxRateStream(clip, retransmit)}}
 	if loss > 0 {
-		link.InjectFaults(netdev.FaultPlan{Loss: loss})
+		spec.faults = &netdev.FaultPlan{Loss: loss}
 	}
-	k, err := bootScout(eng, link, true)
-	if err != nil {
-		panic(err)
-	}
-	h := host.New(link, srcMAC, srcAddr)
-
-	p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       2000,
-		CostModel: true,
-		QueueLen:  32,
-		Sched:     "rr",
-		Priority:  2,
-		Reliable:  retransmit,
-	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 11,
-		Retransmit: retransmit,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
-
-	sink := k.Display.Sink(p, "DISPLAY")
-	total := int64(src.NumFrames())
-	// Without retransmission lost frames never complete, so "all frames
-	// displayed" may never hold: also stop once the stream has visibly
-	// drained (source done or stalled, and the display quiet for 3 sim
-	// seconds — far beyond the 500ms retransmission-timeout ceiling).
-	var lastDisp int64
-	var lastChange sim.Time
-	end := runUntil(eng, 5*time.Minute, func() bool {
-		if d := sink.Displayed(); d != lastDisp {
-			lastDisp, lastChange = d, eng.Now()
-		}
-		if lastDisp >= total {
-			return true
-		}
-		return lastDisp > 0 && eng.Now().Sub(lastChange) >= 3*time.Second
-	})
-	if lastDisp > 0 {
-		// Don't bill the stall-detection idle tail to the decode rate; on
-		// a completed run lastChange and the end time coincide anyway.
-		end = lastChange
+	w := newWorld(spec)
+	s := w.streams[0]
+	// Without retransmission lost frames never complete, so the run may end
+	// on play's quiet period; don't bill that idle tail to the decode rate.
+	// On a completed run the last change and the end time coincide anyway.
+	end := w.play(5 * time.Minute)
+	if s.lastChange > 0 {
+		end = s.lastChange
 	}
 
-	cell := LossCell{Displayed: sink.Displayed(), Retransmits: src.Retransmits, RTOs: src.RTOs,
-		NoPathDrops: k.Dev.NoPathDrops()}
-	cell.Complete, _ = routers.MPEGComplete(p, "MPEG")
-	if st, ok := mflow.StatsOf(p, "MFLOW"); ok {
+	cell := LossCell{Retransmits: s.src.Retransmits, RTOs: s.src.RTOs, NoPathDrops: w.k.Dev.NoPathDrops()}
+	cell.Complete, _ = routers.MPEGComplete(s.p, "MPEG")
+	if st, ok := mflow.StatsOf(s.p, "MFLOW"); ok {
 		cell.Gaps = st.Gaps
 	}
 	cell.FPS = rate(cell.Complete, end)
 	return cell
 }
 
-// PrintLoss renders the E9 sweep.
-func PrintLoss(w io.Writer, clip string, rows []LossRow) {
-	fprintf(w, "E9: %s decode quality vs link loss (complete frames/sec, max-rate stream)\n", clip)
+// Print renders the E9 sweep.
+func (res LossResult) Print(w io.Writer) {
+	fprintf(w, "E9: %s decode quality vs link loss (complete frames/sec, max-rate stream)\n", res.Clip)
 	fprintf(w, "%7s | %10s %9s %7s %7s | %10s %9s %7s | %7s\n", "loss",
 		"retx FPS", "complete", "retx", "RTOs", "noretx FPS", "complete", "gaps", "nopath")
-	for _, r := range rows {
+	for _, r := range res.Rows {
 		fprintf(w, "%6.2f%% | %10.1f %9d %7d %7d | %10.1f %9d %7d | %7d\n",
 			r.LossPct, r.On.FPS, r.On.Complete, r.On.Retransmits, r.On.RTOs,
 			r.Off.FPS, r.Off.Complete, r.Off.Gaps, r.On.NoPathDrops+r.Off.NoPathDrops)

@@ -20,8 +20,11 @@ import (
 // path creation, E2 demux). The simulation clock is irrelevant there; the
 // benchmarks measure real nanoseconds with testing.B.
 func NewMicroKernel() (*appliance.Kernel, error) {
-	eng, link := newWorld(2)
-	return bootScout(eng, link, false)
+	w, err := buildWorld(worldSpec{seed: 2})
+	if err != nil {
+		return nil, err
+	}
+	return w.k, nil
 }
 
 // TestPathAttrs builds the attribute set for a TEST→UDP→IP→ETH path — the
@@ -84,10 +87,12 @@ func MeasureFootprint(k *appliance.Kernel) (Footprint, error) {
 	return f, nil
 }
 
-// PrintFootprint renders E3.
-func PrintFootprint(w io.Writer, f Footprint) {
+// Print renders E3.
+func (f Footprint) Print(w io.Writer) {
 	fprintf(w, "§3.6: object sizes\n")
 	fprintf(w, "path object: %d bytes (paper ≈300)\n", f.PathBytes)
 	fprintf(w, "stage + 2 interfaces: %d bytes (paper ≈150)\n", f.StageBytes)
 	fprintf(w, "UDP path: %d stages, ≈%d bytes excluding queues\n", f.PathLen, f.WholePathEst)
+	fprintf(w, "(run `go test -bench='BenchmarkE1|BenchmarkE2' .` for the\n")
+	fprintf(w, " wall-clock path-creation and demux microbenchmarks)\n")
 }

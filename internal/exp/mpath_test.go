@@ -108,53 +108,18 @@ func TestMultipathResequencingAcrossLatencies(t *testing.T) {
 // device sampler must cover every attached NIC, so pathtop can attribute
 // work per subpath per policy.
 func TestMultipathTraceLabelsAndDeviceRows(t *testing.T) {
-	eng := sim.New(1)
-	delays := []time.Duration{20 * time.Microsecond, 40 * time.Microsecond}
-	links := make([]*netdev.Link, len(delays))
-	for i, d := range delays {
-		links[i] = netdev.NewLink(eng, netdev.LinkConfig{ID: i, BitsPerSec: linkBps, Delay: d})
-	}
-	cfg := appliance.DefaultConfig()
-	cfg.MAC, cfg.Addr = scoutMAC, scoutAddr
-	cfg.RefreshHz = 2000
-	cfg.ExtraLinks = links[1:]
-	cfg.Tracing = true
-	k, err := appliance.Boot(eng, links[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := []*host.Host{host.New(links[0], srcMAC, srcAddr), host.New(links[1], srcMAC, srcAddr)}
 	clip := mpeg.Flower
 	clip.Frames = 30
-	ps, lport, err := k.CreateVideoPathSet(&appliance.VideoAttrs{
-		Source:     inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:        2000,
-		CostModel:  true,
-		QueueLen:   32,
-		Sched:      "rr",
-		Priority:   2,
-		Reliable:   true,
-		Trace:      true,
-		TraceLabel: "flower",
-	}, 2, "round-robin-stripe", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := host.NewSource(hosts[0], host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 11,
-		Retransmit: true,
+	st := maxRateStream(clip, true)
+	st.policy = "round-robin-stripe"
+	st.attrs.Trace, st.attrs.TraceLabel = true, "flower"
+	w := newWorld(worldSpec{
+		seed: 1, maxRate: true, wires: 2,
+		tune:    func(c *appliance.Config) { c.Tracing = true },
+		streams: []streamSpec{st},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.AddSubflow(hosts[1], 7001)
-	src.Dispatch = ps.Dispatch
-	src.OnSubAck = ps.NoteAck
-	src.OnSubLoss = ps.NoteLoss
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
-	sink := k.Display.Sink(ps.Sub(0).Path, "DISPLAY")
-	total := int64(src.NumFrames())
-	runUntil(eng, 2*time.Minute, func() bool { return sink.Displayed() >= total })
+	k := w.k
+	w.play(2 * time.Minute)
 
 	doc := k.Tracer.MetricsDoc()
 	want := map[string]bool{
@@ -199,28 +164,16 @@ func runRepinVariant(t *testing.T, boot bootFunc) (cell struct {
 	RetiredGen          uint64
 }) {
 	t.Helper()
-	eng, links, k, hosts := bootMultipath(1, []time.Duration{20 * time.Microsecond, 20 * time.Microsecond}, boot)
-	clip := mpeg.Flower
-	ps, src := startMultipathFlow(eng, k, hosts, clip, 7000, 2, "loss-aware-ewma", 0)
-	p := ps.Sub(0).Path
-	sink := k.Display.Sink(p, "DISPLAY")
-	total := int64(src.NumFrames())
+	st := maxRateStream(mpeg.Flower, true)
+	st.policy = "loss-aware-ewma"
+	w := newWorld(worldSpec{seed: 1, maxRate: true, wires: 2, boot: boot, streams: []streamSpec{st}})
+	k, ps, p, sink := w.k, w.streams[0].set, w.streams[0].p, w.streams[0].sink
 	// Mid-run, the incumbent link degrades hard; the loss-aware policy must
 	// re-pin the flow onto the clean link.
-	eng.At(sim.Time(500*time.Millisecond), func() {
-		links[0].InjectFaults(netdev.FaultPlan{Loss: 0.05, BurstLoss: 0.05, BurstLen: 8})
+	w.eng.At(sim.Time(500*time.Millisecond), func() {
+		w.links[0].InjectFaults(netdev.FaultPlan{Loss: 0.05, BurstLoss: 0.05, BurstLen: 8})
 	})
-	var lastDisp int64
-	var lastChange sim.Time
-	end := runUntil(eng, 5*time.Minute, func() bool {
-		if d := sink.Displayed(); d != lastDisp {
-			lastDisp, lastChange = d, eng.Now()
-		}
-		if lastDisp >= total {
-			return true
-		}
-		return lastDisp > 0 && eng.Now().Sub(lastChange) >= 3*time.Second
-	})
+	end := w.play(5 * time.Minute)
 	cell.Displayed = sink.Displayed()
 	cell.Complete, _ = routers.MPEGComplete(p, "MPEG")
 	cell.EndNs = int64(end)
@@ -229,7 +182,6 @@ func runRepinVariant(t *testing.T, boot bootFunc) (cell struct {
 	if k.Devs[0].Flows != nil {
 		cell.RetiredGen = k.Devs[0].Flows.Gen()
 	}
-	_ = src
 	return cell
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"time"
 
@@ -93,15 +95,10 @@ type E11Cell struct {
 	FramesSent           int
 	CompleteI, CompleteP int64
 	ShedP, ShedI         int64
-	EarlyDiscards        int64
 	TailDrops            int64 // input-queue refused enqueues (indiscriminate)
 
 	Misses      int64 // watchdog EDF deadline misses on the video path
-	WorstMiss   time.Duration
-	Displayed   int64
 	FinalLevel  int
-	Escalations int64
-	Relaxations int64
 	Probes      int64 // source window probes while backpressured
 	NoPathDrops int64 // frames the classifier discarded for want of a path
 
@@ -151,37 +148,19 @@ func RunE11(cfg E11Config) E11Result {
 // zero overcommit means no fault); live picks the source's reaction to a
 // closed window (keep sending vs throttle).
 func runE11Cell(cfg E11Config, overcommit float64, degrade bool, factor float64, live bool) (E11Cell, float64) {
-	eng, link := newWorld(cfg.Seed)
-	k, err := bootScout(eng, link, false)
-	if err != nil {
-		panic(err)
-	}
-	h := host.New(link, srcMAC, srcAddr)
-
-	clip := mpeg.Neptune
-	if cfg.Frames > 0 {
-		clip.Frames = cfg.Frames
-	}
-	p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       clip.FPS,
-		Frames:    clip.Frames,
-		CostModel: true,
-		QueueLen:  32,
-		Degrade:   degrade,
-		GOP:       clip.GOP,
-	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, Seed: 11,
-		Live: live, Backpressure: !live,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
+	clip := prefix(mpeg.Neptune, cfg.Frames)
+	w := newWorld(worldSpec{seed: cfg.Seed, streams: []streamSpec{{
+		attrs: appliance.VideoAttrs{
+			FPS: clip.FPS, Frames: clip.Frames, CostModel: true, QueueLen: 32,
+			Degrade: degrade, GOP: clip.GOP,
+		},
+		source: host.SourceConfig{
+			Clip: clip, SrcPort: 7000, CostOnly: true, Seed: 11,
+			Live: live, Backpressure: !live,
+		},
+	}}})
+	eng, k, s := w.eng, w.k, w.streams[0]
+	p, src := s.p, s.src
 
 	inj := chaos.New(eng)
 	if overcommit > 0 && factor > 1 {
@@ -190,11 +169,9 @@ func runE11Cell(cfg E11Config, overcommit float64, degrade bool, factor float64,
 		inj.InflateStageCPU(p, "MPEG", factor, from, until)
 	}
 
-	sink := k.Display.Sink(p, "DISPLAY")
 	clipDur := time.Duration(clip.Frames) * time.Second / time.Duration(clip.FPS)
 	runUntil(eng, clipDur+30*time.Second, func() bool {
-		done, _ := src.Done()
-		return done && p.Q[core.QInBWD].Empty() && p.Q[core.QOutBWD].Empty()
+		return s.sent() && p.Q[core.QInBWD].Empty() && p.Q[core.QOutBWD].Empty()
 	})
 	eng.RunFor(2 * time.Second) // let the display drain and the ladder relax
 
@@ -204,31 +181,32 @@ func runE11Cell(cfg E11Config, overcommit float64, degrade bool, factor float64,
 		Live:       live,
 		FramesSent: src.NumFrames(),
 		Misses:     k.Watch.MissesByPath(p.PID),
-		WorstMiss:  k.Watch.WorstMiss(),
-		Displayed:  sink.Displayed(),
 		Probes:     src.Probes,
 	}
 	cell.CompleteI, cell.CompleteP, _ = routers.MPEGCompleteByKind(p, "MPEG")
-	cell.EarlyDiscards = p.EarlyDiscards
 	cell.TailDrops = p.Q[core.QInBWD].Dropped()
 	cell.NoPathDrops = k.Dev.NoPathDrops()
 	if d := k.Degrader(p); d != nil {
 		cell.ShedP, cell.ShedI = d.ShedP, d.ShedI
 		cell.FinalLevel = d.Level()
-		cell.Escalations, cell.Relaxations = d.Escalations, d.Relaxations
 	}
-	for _, v := range chaos.AuditPath(p) {
-		cell.Audit = append(cell.Audit, v.String())
-	}
-	// Destroy the path and audit teardown too: every chaos run ends with
-	// the lifecycle check.
-	p.Destroy()
-	for _, v := range chaos.AuditPath(p) {
-		cell.Audit = append(cell.Audit, v.String())
-	}
+	cell.Audit = auditAndDestroy(p) // every chaos run ends with the lifecycle check
 
 	util := float64(p.CPUTime()) / float64(clipDur)
 	return cell, util
+}
+
+// auditAndDestroy audits p's conservation invariants with the path alive
+// (nothing leaked), destroys it, and audits the teardown too (queues drained,
+// memory released), returning every violation.
+func auditAndDestroy(p *core.Path) []string {
+	alive := chaos.AuditPath(p)
+	p.Destroy()
+	var violations []string
+	for _, v := range append(alive, chaos.AuditPath(p)...) {
+		violations = append(violations, v.String())
+	}
+	return violations
 }
 
 // RevocationResult records the admission-revocation scenario.
@@ -253,11 +231,7 @@ type RevocationResult struct {
 // lowest-value grant's path is torn down (and audited), the next is
 // degraded in place.
 func runE11Revocation(seed int64) RevocationResult {
-	eng, link := newWorld(seed)
-	k, err := bootScout(eng, link, false)
-	if err != nil {
-		panic(err)
-	}
+	k := newWorld(worldSpec{seed: seed}).k
 
 	ctl := admission.NewController(0.9, 64<<20)
 	// Train the model at the assumed cost: 10ms per average frame.
@@ -277,13 +251,9 @@ func runE11Revocation(seed int64) RevocationResult {
 			QueueLen:  16,
 			Degrade:   i != 2, // the lowest-value path has no ladder: revocation must tear it down
 		})
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		id, _, err := ctl.AdmitVideo(30, float64(mpeg.Neptune.AvgPBits), 256<<10)
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		paths = append(paths, adm{p, id})
 	}
 	res := RevocationResult{}
@@ -322,13 +292,33 @@ func runE11Revocation(seed int64) RevocationResult {
 	return res
 }
 
-// PrintE11 renders the experiment.
-func PrintE11(w io.Writer, res E11Result) {
-	cfg := res.Cfg
-	frames := cfg.Frames
-	if frames == 0 {
-		frames = mpeg.Neptune.Frames
+// Check requires every cell's lifecycle audit to be clean, and the
+// revocation scenario to have revoked a grant, destroyed the lowest-value
+// path and degraded the next one in place.
+func (res E11Result) Check() error {
+	for _, c := range append([]E11Cell{res.Baseline, res.VOD}, res.Cells...) {
+		if len(c.Audit) != 0 {
+			return fmt.Errorf("overcommit %.1f: audit violations: %v", c.Overcommit, c.Audit)
+		}
 	}
+	rev := res.Revocation
+	switch {
+	case len(rev.Revoked) == 0:
+		return errors.New("revocation: the overcommit refit revoked nothing")
+	case !rev.DestroyedDead:
+		return errors.New("revocation: lowest-value path not destroyed")
+	case rev.DegradedLevel == 0:
+		return errors.New("revocation: mid-value path not degraded")
+	case len(rev.Audit) != 0:
+		return fmt.Errorf("revocation: audit violations: %v", rev.Audit)
+	}
+	return nil
+}
+
+// Print renders the experiment.
+func (res E11Result) Print(w io.Writer) {
+	cfg := res.Cfg
+	frames := prefix(mpeg.Neptune, cfg.Frames).Frames
 	fprintf(w, "E11: Neptune overload survival (chaos CPU ramp in [%v, %v), seed %d)\n",
 		cfg.WindowStart, cfg.WindowStart+cfg.WindowDur, cfg.Seed)
 	fprintf(w, "unloaded: %d/%d frames complete, util=%.2f, misses=%d\n\n",

@@ -8,9 +8,7 @@ import (
 	"scout/internal/host"
 	"scout/internal/mpeg"
 	"scout/internal/netdev"
-	"scout/internal/proto/inet"
 	"scout/internal/proto/mflow"
-	"scout/internal/sim"
 )
 
 // QueueRow is one point of the §4.2 input-queue sizing experiment: with a
@@ -35,15 +33,18 @@ var wireClip = mpeg.ClipSpec{
 	AvgPBits: 10800, Jitter: 0,
 }
 
+// QueueRows is the RTT × queue-size sweep.
+type QueueRows []QueueRow
+
 // RunQueueSizing sweeps queue sizes for each RTT.
-func RunQueueSizing(rtts []time.Duration, queueLens []int) []QueueRow {
+func RunQueueSizing(rtts []time.Duration, queueLens []int) QueueRows {
 	if rtts == nil {
 		rtts = []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}
 	}
 	if queueLens == nil {
 		queueLens = []int{2, 4, 8, 16, 32, 64}
 	}
-	var rows []QueueRow
+	var rows QueueRows
 	for _, rtt := range rtts {
 		for _, ql := range queueLens {
 			rows = append(rows, runQueueOnce(rtt, ql))
@@ -53,32 +54,19 @@ func RunQueueSizing(rtts []time.Duration, queueLens []int) []QueueRow {
 }
 
 func runQueueOnce(rtt time.Duration, queueLen int) QueueRow {
-	eng, link := newWorldDelay(5, rtt/2)
-	k, err := bootScout(eng, link, true)
-	if err != nil {
-		panic(err)
-	}
-	h := host.New(link, srcMAC, srcAddr)
-	p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       2000,
-		CostModel: true,
-		QueueLen:  queueLen,
+	w := newWorld(worldSpec{
+		seed: 5, maxRate: true, link: netdev.LinkConfig{Delay: rtt / 2},
+		streams: []streamSpec{{
+			attrs: appliance.VideoAttrs{FPS: 2000, CostModel: true, QueueLen: queueLen},
+			source: host.SourceConfig{
+				Clip: wireClip, SrcPort: 7000, CostOnly: true, MaxRate: true,
+				InitialWindow: uint32(queueLen), Seed: 7,
+			},
+		}},
 	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: wireClip, SrcPort: 7000, CostOnly: true, MaxRate: true,
-		InitialWindow: uint32(queueLen), Seed: 7,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
 	const measure = 20 * time.Second
-	eng.RunFor(measure)
-	st, _ := mflow.StatsOf(p, "MFLOW")
+	w.eng.RunFor(measure)
+	st, _ := mflow.StatsOf(w.streams[0].p, "MFLOW")
 	// Packet on the wire: ~1350B of ALF payload + headers ≈ 1450B.
 	const pktBits = 1450 * 8
 	predicted := int(2 * float64(rtt) / float64(time.Second) * linkBps / pktBits)
@@ -87,19 +75,12 @@ func runQueueOnce(rtt time.Duration, queueLen int) QueueRow {
 		QueueLen:  queueLen,
 		Predicted: predicted,
 		PktPerSec: float64(st.Delivered) / measure.Seconds(),
-		Drops:     k.ETH.Stats().RxQueueFull,
+		Drops:     w.k.ETH.Stats().RxQueueFull,
 	}
 }
 
-// newWorldDelay builds a world with a custom one-way delay.
-func newWorldDelay(seed int64, delay time.Duration) (*sim.Engine, *netdev.Link) {
-	eng := sim.New(seed)
-	link := netdev.NewLink(eng, netdev.LinkConfig{BitsPerSec: linkBps, Delay: delay})
-	return eng, link
-}
-
-// PrintQueueSizing renders the sweep, marking the predicted knee.
-func PrintQueueSizing(w io.Writer, rows []QueueRow) {
+// Print renders the sweep, marking the predicted knee.
+func (rows QueueRows) Print(w io.Writer) {
 	fprintf(w, "§4.2: input queue sizing (network-bottleneck stream, 10 Mb/s)\n")
 	fprintf(w, "(rule: queue ≥ 2×RTT×BW keeps the pipe full)\n")
 	fprintf(w, "%-8s %6s %10s %12s %8s\n", "RTT", "qlen", "predicted", "pkts/s", "drops")

@@ -4,12 +4,7 @@ import (
 	"io"
 	"time"
 
-	"scout/internal/appliance"
-	"scout/internal/baseline"
-	"scout/internal/host"
 	"scout/internal/mpeg"
-	"scout/internal/proto/inet"
-	"scout/internal/sim"
 )
 
 // Table1Row is one line of the paper's Table 1: the maximum decoding rate
@@ -21,6 +16,9 @@ type Table1Row struct {
 	ScoutFPS    float64
 	BaselineFPS float64
 }
+
+// Table1 is the regenerated table.
+type Table1 []Table1Row
 
 // PaperTable1 records the published numbers for comparison.
 var PaperTable1 = map[string][2]float64{
@@ -34,11 +32,11 @@ var PaperTable1 = map[string][2]float64{
 // subset). Sources stream at maximum rate under MFLOW flow control; the
 // decode CPU cost comes from the calibrated bits→CPU model; the baseline
 // differs from Scout only in kernel structure (see package baseline).
-func RunTable1(clips []mpeg.ClipSpec) []Table1Row {
+func RunTable1(clips []mpeg.ClipSpec) Table1 {
 	if clips == nil {
 		clips = mpeg.Clips
 	}
-	rows := make([]Table1Row, 0, len(clips))
+	rows := make(Table1, 0, len(clips))
 	for _, c := range clips {
 		rows = append(rows, Table1Row{
 			Clip:        c.Name,
@@ -53,93 +51,27 @@ func RunTable1(clips []mpeg.ClipSpec) []Table1Row {
 // ScoutMaxRate plays a clip through the Scout appliance as fast as flow
 // control and the CPU allow, returning the achieved decode+display frame
 // rate. flooded adds Table 2's adaptive `ping -f` load.
-func ScoutMaxRate(clip mpeg.ClipSpec, flooded bool) float64 {
-	eng, link := newWorld(1)
-	k, err := bootScout(eng, link, true)
-	if err != nil {
-		panic(err)
-	}
-	h := host.New(link, srcMAC, srcAddr)
-
-	p, lport, err := k.CreateVideoPath(&appliance.VideoAttrs{
-		Source:    inet.Participants{RemoteAddr: srcAddr, RemotePort: 7000},
-		FPS:       2000, // display never limits a max-rate run
-		CostModel: true,
-		QueueLen:  32,
-		Sched:     "rr",
-		Priority:  2, // the paper's "default round robin priority" (§4.3)
-	})
-	if err != nil {
-		panic(err)
-	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7000, CostOnly: true, MaxRate: true, Seed: 11,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(k.Cfg.Addr, lport) })
-
-	if flooded {
-		ping := host.New(link, pingMAC, pingAddr)
-		ping.FloodEchoAdaptive(k.Cfg.Addr, 1, 8, 30*time.Microsecond)
-	}
-
-	sink := k.Display.Sink(p, "DISPLAY")
-	total := src.NumFrames()
-	end := runUntil(eng, 10*time.Minute, func() bool {
-		return sink.Displayed() >= int64(total)
-	})
-	return rate(sink.Displayed(), end)
-}
+func ScoutMaxRate(clip mpeg.ClipSpec, flooded bool) float64 { return maxRate(clip, flooded, false) }
 
 // BaselineMaxRate is ScoutMaxRate on the monolithic stack.
-func BaselineMaxRate(clip mpeg.ClipSpec) float64 { return baselineMaxRate(clip, false) }
+func BaselineMaxRate(clip mpeg.ClipSpec) float64 { return maxRate(clip, false, true) }
 
-// BaselineMaxRateLoaded adds the ICMP flood.
-func BaselineMaxRateLoaded(clip mpeg.ClipSpec) float64 {
-	return baselineMaxRate(clip, true)
-}
-
-func baselineMaxRate(clip mpeg.ClipSpec, flooded bool) float64 {
-	eng, link := newWorld(1)
-	cfg := baseline.DefaultConfig()
-	cfg.MAC, cfg.Addr = scoutMAC, scoutAddr
-	cfg.RefreshHz = 2000
-	s := baseline.New(eng, link, cfg)
-	h := host.New(link, srcMAC, srcAddr)
-	proc, err := s.NewProc(baseline.ProcConfig{Port: 7000, FPS: 2000, CostOnly: true, OutQueue: 32})
-	if err != nil {
-		panic(err)
+func maxRate(clip mpeg.ClipSpec, flooded, monolithic bool) float64 {
+	spec := worldSpec{seed: 1, maxRate: true, baseline: monolithic,
+		streams: []streamSpec{maxRateStream(clip, false)}}
+	if monolithic {
+		spec.streams[0].source.SrcPort = 7100
 	}
-	src, err := host.NewSource(h, host.SourceConfig{
-		Clip: clip, SrcPort: 7100, CostOnly: true, MaxRate: true, Seed: 11,
-	})
-	if err != nil {
-		panic(err)
-	}
-	eng.At(0, func() { src.Start(s.Cfg.Addr, 7000) })
 	if flooded {
-		ping := host.New(link, pingMAC, pingAddr)
-		ping.FloodEchoAdaptive(s.Cfg.Addr, 1, 8, 30*time.Microsecond)
+		spec.flood = 1
 	}
-	sink := proc.Sink()
-	total := src.NumFrames()
-	end := runUntil(eng, 10*time.Minute, func() bool {
-		return sink.Displayed() >= int64(total)
-	})
-	return rate(sink.Displayed(), end)
+	w := newWorld(spec)
+	end := w.play(10 * time.Minute)
+	return rate(w.streams[0].sink.Displayed(), end)
 }
 
-func rate(n int64, at sim.Time) float64 {
-	if at <= 0 {
-		return 0
-	}
-	return float64(n) / at.Seconds()
-}
-
-// PrintTable1 renders rows next to the paper's numbers.
-func PrintTable1(w io.Writer, rows []Table1Row) {
+// Print renders rows next to the paper's numbers.
+func (rows Table1) Print(w io.Writer) {
 	fprintf(w, "Table 1: Coarse-Grain Comparison of Scout and Linux (max decode rate, fps)\n")
 	fprintf(w, "%-15s %7s | %12s %12s | %12s %12s\n", "Video", "#frames",
 		"Scout(meas)", "Linux(meas)", "Scout(paper)", "Linux(paper)")

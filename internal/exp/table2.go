@@ -29,7 +29,7 @@ func RunTable2() Table2Result {
 		ScoutUnloaded:    ScoutMaxRate(mpeg.Neptune, false),
 		ScoutLoaded:      ScoutMaxRate(mpeg.Neptune, true),
 		BaselineUnloaded: BaselineMaxRate(mpeg.Neptune),
-		BaselineLoaded:   BaselineMaxRateLoaded(mpeg.Neptune),
+		BaselineLoaded:   maxRate(mpeg.Neptune, true, true),
 	}
 }
 
@@ -45,8 +45,8 @@ func pct(loaded, unloaded float64) float64 {
 	return (loaded - unloaded) / unloaded * 100
 }
 
-// PrintTable2 renders the result next to the paper's numbers.
-func PrintTable2(w io.Writer, r Table2Result) {
+// Print renders the result next to the paper's numbers.
+func (r Table2Result) Print(w io.Writer) {
 	ds, db := r.Delta()
 	fprintf(w, "Table 2: Neptune frame rate under ping -f ICMP flood\n")
 	fprintf(w, "%-8s %10s %10s %8s | paper: %10s %10s %8s\n",
