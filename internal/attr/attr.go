@@ -184,14 +184,6 @@ func (a *Attrs) Bool(n Name) (bool, bool) {
 	return b, ok
 }
 
-// BoolDefault returns the attribute as a bool, or def if absent/mistyped.
-func (a *Attrs) BoolDefault(n Name, def bool) bool {
-	if b, ok := a.Bool(n); ok {
-		return b
-	}
-	return def
-}
-
 // String returns the attribute as a string.
 func (a *Attrs) String(n Name) (string, bool) {
 	v, ok := a.Get(n)

@@ -33,9 +33,6 @@ func (c costImpl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.S
 	s.SetIface(core.BWD, core.NewNetIface(deliver))
 	return s, nil, nil
 }
-func (costImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
 
 // newVictim builds a one-stage path on router "R" that charges cost per
 // delivery.

@@ -22,7 +22,6 @@ type testImpl struct {
 	route     func(r *Router, enter int, a *attr.Attrs) *NextHop
 	stageErr  error
 	onDestroy func(r *Router)
-	demux     func(r *Router, enter int, m *msg.Msg) (*Path, error)
 }
 
 func (t *testImpl) Services() []ServiceSpec { return t.services }
@@ -68,13 +67,6 @@ func (t *testImpl) CreateStage(r *Router, enter int, a *attr.Attrs) (*Stage, *Ne
 		next = t.route(r, enter, a)
 	}
 	return s, next, nil
-}
-
-func (t *testImpl) Demux(r *Router, enter int, m *msg.Msg) (*Path, error) {
-	if t.demux != nil {
-		return t.demux(r, enter, m)
-	}
-	return nil, ErrNoPath
 }
 
 func netService(name string, initAfter bool) ServiceSpec {
@@ -563,13 +555,6 @@ func TestCPUAccounting(t *testing.T) {
 	}
 	if p.CPUTime() != 2400 || p.Executions() != 2 {
 		t.Fatalf("cpu=%v n=%d", p.CPUTime(), p.Executions())
-	}
-}
-
-func TestDemuxDefaultNoPath(t *testing.T) {
-	g, a := buildChain(t, nil, nil)
-	if _, err := g.Demux(a, NoService, msg.New([]byte("junk"))); err != ErrNoPath {
-		t.Fatalf("err = %v, want ErrNoPath", err)
 	}
 }
 

@@ -3,9 +3,10 @@ package core
 // Flow cache: the device-edge half of the fast-path engine (§4.1 of the
 // paper argues classification should happen "as early as possible — in the
 // interrupt handler"). The first frame of a flow pays the full hop-by-hop
-// Demux walk; on success the device records a flat header fingerprint →
-// *Path binding here, and every later frame of the flow resolves in one map
-// lookup at interrupt time, skipping the router chain entirely.
+// classification walk; on success the device records a flat header
+// fingerprint → *Path binding here, and every later frame of the flow
+// resolves in one map lookup at interrupt time, skipping the router chain
+// entirely.
 //
 // Correctness rests on two rules, both enforced in this file's callers:
 //
@@ -14,10 +15,11 @@ package core
 //     EtherType, IP version, header checksum, fragmentation, protocol).
 //     Two frames with the same key are therefore classified identically by
 //     the full walk — as long as the demux tables have not changed.
-//   - Any event that can change a classification decision invalidates: path
-//     destruction (a per-path destroy hook installed at Insert), demux-table
-//     changes (UDP port bind/unbind), rule changes (Graph.AddRule), and
-//     ARP/route learning — all routed through Graph.InvalidateFlows.
+//   - Any event that can change a classification decision invalidates. A
+//     path's death removes its bindings (Path.Destroy, in every cache
+//     registered on its graph); a change to what the walk would decide —
+//     demux tables (UDP port bind/unbind), rules (Graph.AddRule), ARP/route
+//     learning — empties the cache (Graph.InvalidateFlows).
 //
 // The cache holds no timing state and charges no CPU itself; hits and misses
 // charge exactly the same virtual-clock costs as before (the device IRQ and
@@ -50,34 +52,25 @@ type FlowCacheStats struct {
 	DeadLookups   int64 // entries removed by Lookup's defensive liveness check
 }
 
-// flowEntry is one cached binding. seq identifies the insertion that created
-// it: re-inserting a key after invalidation bumps the sequence, which lets
-// evictOldest and compact tell a live order slot from a stale one left by an
-// earlier life of the same key.
-type flowEntry struct {
+// slot is one cached binding; a nil path marks the slot free.
+type slot struct {
+	key  FlowKey
 	path *Path
-	seq  uint64
 }
 
-// orderSlot records one insertion in FIFO order. A slot is live iff the
-// key's current entry carries the same sequence number.
-type orderSlot struct {
-	key FlowKey
-	seq uint64
-}
-
-// FlowCache is a bounded map from flow fingerprints to live paths. It is
-// single-owner like every other data-path structure in the simulation: all
-// mutation happens from sim.Engine event context (the scoutlint flowclock
-// check enforces this statically).
+// FlowCache is a bounded map from flow fingerprints to live paths: a ring of
+// slots filled in insertion order, and an index from key to slot. A binding
+// lives until it is invalidated or until the fill cursor comes round to its
+// slot again, cap inserts later (FIFO eviction). It is single-owner like
+// every other data-path structure in the simulation: all mutation happens
+// from sim.Engine event context (the scoutlint flowguard check enforces this
+// statically).
 type FlowCache struct {
-	cap     int
-	entries map[FlowKey]flowEntry
-	order   []orderSlot    // insertion order, oldest first (FIFO eviction)
-	hooked  map[*Path]bool // paths carrying our destroy hook
-	nextSeq uint64
-	gen     uint64
-	stats   FlowCacheStats
+	slots []slot
+	index map[FlowKey]int32
+	next  int // fill cursor: the slot the next Insert takes
+	gen   uint64
+	stats FlowCacheStats
 }
 
 // NewFlowCache returns a cache bounded to cap entries; cap must be positive.
@@ -85,128 +78,84 @@ func NewFlowCache(cap int) *FlowCache {
 	if cap <= 0 {
 		cap = 1
 	}
-	return &FlowCache{
-		cap:     cap,
-		entries: make(map[FlowKey]flowEntry, cap),
-		hooked:  make(map[*Path]bool),
-	}
+	return &FlowCache{slots: make([]slot, cap), index: make(map[FlowKey]int32, cap)}
 }
 
 // Gen reports the cache's invalidation generation: it advances whenever an
 // entry is removed for a correctness reason (path destroy, table change,
-// dead-path lookup). Burst classification memoizes a resolved key → path
-// binding outside the cache for the duration of a burst; the memo is valid
-// only while the generation is unchanged, because any event that could
-// change a classification decision funnels through an invalidation here.
-// Capacity evictions do not advance the generation — they drop a binding
-// that is still correct.
+// dead-path lookup, a key re-bound to another path). Burst classification
+// memoizes a resolved key → path binding outside the cache for the duration
+// of a burst; the memo is valid only while the generation is unchanged,
+// because any event that could change a classification decision funnels
+// through an invalidation here. Capacity evictions do not advance the
+// generation — they drop a binding that is still correct.
 func (fc *FlowCache) Gen() uint64 { return fc.gen }
 
+// free empties slot i and drops its key from the index.
+func (fc *FlowCache) free(i int) {
+	delete(fc.index, fc.slots[i].key)
+	fc.slots[i] = slot{}
+}
+
 // Lookup resolves a fingerprint to its cached path. A hit never returns a
-// destroyed path: the destroy hook removes entries eagerly, and a defensive
-// liveness check backs it up.
+// destroyed path: Path.Destroy removes the path's entries eagerly, and the
+// liveness check here backs it up for a cache its graph does not know.
 func (fc *FlowCache) Lookup(k FlowKey) (*Path, bool) {
-	e, ok := fc.entries[k]
-	if ok && e.path.Dead() {
-		// Defensive: Destroy should have invalidated already. Counted apart
-		// from Invalidations so the hook path and this backstop never
-		// double-count one logical invalidation.
-		delete(fc.entries, k)
+	if i, ok := fc.index[k]; ok {
+		if p := fc.slots[i].path; !p.Dead() {
+			fc.stats.Hits++
+			return p, true
+		}
+		// Counted apart from Invalidations so Destroy's removal and this
+		// backstop never double-count one logical invalidation.
+		fc.free(int(i))
 		fc.stats.DeadLookups++
 		fc.gen++
-		ok = false
-	}
-	if ok {
-		fc.stats.Hits++
-		return e.path, true
 	}
 	fc.stats.Misses++
 	return nil, false
 }
 
-// Insert records a successful full-walk classification. Only called after
-// Graph.Demux returned a live path for a frame whose fingerprint is k. The
-// first entry for a path installs a destroy hook so the binding can never
-// outlive it.
+// Insert records a successful full-walk classification of a frame whose
+// fingerprint is k. The binding takes the slot under the fill cursor; a
+// binding still there is the oldest one, and is evicted. A key that is
+// already bound is re-bound — the old binding counts as invalidated and the
+// key's age restarts.
 func (fc *FlowCache) Insert(k FlowKey, p *Path) {
 	if p == nil || p.Dead() {
 		return
 	}
-	fc.nextSeq++
-	seq := fc.nextSeq
-	if _, exists := fc.entries[k]; !exists {
-		for len(fc.entries) >= fc.cap {
-			fc.evictOldest()
-		}
+	if i, ok := fc.index[k]; ok {
+		fc.free(int(i))
+		fc.stats.Invalidations++
+		fc.gen++
 	}
-	// Re-inserting a key leaves its old order slot behind as a stale
-	// (sequence-mismatched) entry; eviction and compaction skip it, so the
-	// key's FIFO age restarts at this insertion and the key occupies exactly
-	// one live slot.
-	fc.entries[k] = flowEntry{path: p, seq: seq}
-	fc.order = append(fc.order, orderSlot{key: k, seq: seq})
-	fc.stats.Inserts++
-	if !fc.hooked[p] {
-		fc.hooked[p] = true
-		p.AddDestroyHook(func(dead *Path) { fc.InvalidatePath(dead) })
-	}
-	fc.compact()
-}
-
-// evictOldest removes the oldest still-live entry, skipping order slots that
-// are stale: cleared by invalidation, or superseded by a re-insert of the
-// same key (the sequence check).
-func (fc *FlowCache) evictOldest() {
-	for len(fc.order) > 0 {
-		s := fc.order[0]
-		fc.order = fc.order[1:]
-		if e, ok := fc.entries[s.key]; ok && e.seq == s.seq {
-			delete(fc.entries, s.key)
-			fc.stats.Evictions++
-			return
-		}
-	}
-	// order exhausted but entries non-empty should be impossible; clear the
-	// whole map defensively rather than loop forever (dropping everything is
-	// deterministic; dropping one arbitrary entry would not be).
-	for k := range fc.entries {
-		delete(fc.entries, k)
+	if fc.slots[fc.next].path != nil {
+		fc.free(fc.next)
 		fc.stats.Evictions++
 	}
+	fc.slots[fc.next] = slot{key: k, path: p}
+	fc.index[k] = int32(fc.next)
+	fc.next = (fc.next + 1) % len(fc.slots)
+	fc.stats.Inserts++
 }
 
-// compact bounds the order slate: invalidations and re-inserts leave stale
-// slots behind, so periodically rebuild it from the live survivors.
-func (fc *FlowCache) compact() {
-	if len(fc.order) <= 2*fc.cap {
+// InvalidatePath removes every entry bound to p. Path.Destroy calls it on
+// every cache registered with the path's graph; splice and multipath re-pin
+// call it on a live path whose frames must re-classify. The generation
+// advances even when no entry matches: the path's entries may have been
+// evicted for capacity while a burst memo still holds the binding.
+func (fc *FlowCache) InvalidatePath(p *Path) {
+	fc.gen++
+	if p == nil || len(fc.index) == 0 {
 		return
 	}
-	kept := fc.order[:0]
-	for _, s := range fc.order {
-		if e, ok := fc.entries[s.key]; ok && e.seq == s.seq {
-			kept = append(kept, s)
-		}
-	}
-	fc.order = kept
-}
-
-// InvalidatePath removes every entry bound to p (its destroy hook calls
-// this; it is also safe to call directly). The generation advances even when
-// no entry matches: the hook can fire after the path's entries were evicted
-// for capacity, and a burst memo may still hold the binding. A path leaves
-// hooked only when it dies: a live path keeps its one destroy hook, so
-// forgetting it here would make the next Insert install another.
-func (fc *FlowCache) InvalidatePath(p *Path) {
-	for k, e := range fc.entries {
-		if e.path == p {
-			delete(fc.entries, k)
+	for i := range fc.slots {
+		if fc.slots[i].path == p {
+			fc.free(i)
 			fc.stats.Invalidations++
 		}
 	}
-	if p.Dead() {
-		delete(fc.hooked, p)
-	}
-	fc.gen++
 }
 
 // InvalidateAll empties the cache. Demux-table and rule changes use this:
@@ -215,17 +164,16 @@ func (fc *FlowCache) InvalidatePath(p *Path) {
 // safe choice.
 func (fc *FlowCache) InvalidateAll() {
 	fc.gen++
-	n := len(fc.entries)
-	if n == 0 && len(fc.order) == 0 {
+	if len(fc.index) == 0 {
 		return
 	}
-	fc.stats.Invalidations += int64(n)
-	clear(fc.entries)
-	fc.order = fc.order[:0]
+	fc.stats.Invalidations += int64(len(fc.index))
+	clear(fc.index)
+	clear(fc.slots)
 }
 
 // Len reports the number of live entries.
-func (fc *FlowCache) Len() int { return len(fc.entries) }
+func (fc *FlowCache) Len() int { return len(fc.index) }
 
 // Stats returns a snapshot of the cache counters.
 func (fc *FlowCache) Stats() FlowCacheStats { return fc.stats }

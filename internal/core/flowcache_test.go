@@ -71,17 +71,14 @@ func TestFlowCacheReinsertRestartsAge(t *testing.T) {
 
 // TestFlowCacheDeadLookupCounter is the regression test for the
 // double-counted invalidation: Lookup's defensive dead-path branch used to
-// bump Invalidations — the same counter the destroy hook bumps — so one
-// logical invalidation could count twice. The branch now has its own
-// counter.
+// bump Invalidations — the same counter Destroy's removal bumps — so one
+// logical invalidation could count twice. The branch has its own counter. A
+// graph-less path reaches it: its Destroy knows no cache to invalidate.
 func TestFlowCacheDeadLookupCounter(t *testing.T) {
 	fc := NewFlowCache(4)
-	dead := &Path{dead: true}
-	// Plant the entry directly: the defensive branch exists for exactly the
-	// "hook did not fire" corruption that cannot be produced through the
-	// public API.
-	fc.entries[fkey(1)] = flowEntry{path: dead, seq: 1}
-	fc.stats.Inserts++ // keep the books consistent with the planted entry
+	p := &Path{}
+	fc.Insert(fkey(1), p)
+	p.Destroy()
 
 	genBefore := fc.Gen()
 	if _, hit := fc.Lookup(fkey(1)); hit {
@@ -92,7 +89,7 @@ func TestFlowCacheDeadLookupCounter(t *testing.T) {
 		t.Errorf("deadLookups = %d, want 1", st.DeadLookups)
 	}
 	if st.Invalidations != 0 {
-		t.Errorf("invalidations = %d, want 0 (defensive removal must not share the hook's counter)", st.Invalidations)
+		t.Errorf("invalidations = %d, want 0 (defensive removal must not share Destroy's counter)", st.Invalidations)
 	}
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("hits/misses = %d/%d, want 0/1", st.Hits, st.Misses)
@@ -103,83 +100,66 @@ func TestFlowCacheDeadLookupCounter(t *testing.T) {
 	conserved(t, fc)
 }
 
-// TestFlowCacheDestroyHookInvalidates pins the normal (hook) invalidation
-// accounting: destroying a cached path counts one invalidation and zero
-// dead lookups.
+// TestFlowCacheDestroyHookInvalidates pins the one rule for a path's death:
+// Destroy removes the path's bindings from every cache registered on its
+// graph, eagerly (one invalidation each, zero dead lookups). The path has no
+// UDP stage, so no stage's Destroy empties the cache first.
 func TestFlowCacheDestroyHookInvalidates(t *testing.T) {
-	fc := NewFlowCache(4)
-	p := &Path{}
+	g, a := buildChain(t, nil, nil)
+	fc, other := NewFlowCache(4), NewFlowCache(4)
+	g.RegisterFlowCache(fc)
+	g.RegisterFlowCache(other)
+	p, err := g.CreatePath(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := &Path{}
 	fc.Insert(fkey(1), p)
+	fc.Insert(fkey(2), keep)
+	fc.Insert(fkey(3), p)
+	other.Insert(fkey(1), p)
 	p.Destroy()
+	if fc.Len() != 1 || other.Len() != 0 {
+		t.Fatalf("after Destroy: len = %d and %d, want 1 and 0 (bindings must leave before any lookup)", fc.Len(), other.Len())
+	}
 	if _, hit := fc.Lookup(fkey(1)); hit {
 		t.Fatal("destroyed path still cached")
 	}
+	if got, hit := fc.Lookup(fkey(2)); !hit || got != keep {
+		t.Error("another path's binding was removed")
+	}
 	st := fc.Stats()
-	if st.Invalidations != 1 || st.DeadLookups != 0 {
-		t.Errorf("invalidations/deadLookups = %d/%d, want 1/0", st.Invalidations, st.DeadLookups)
+	if st.Invalidations != 2 || st.DeadLookups != 0 {
+		t.Errorf("invalidations/deadLookups = %d/%d, want 2/0", st.Invalidations, st.DeadLookups)
 	}
 	conserved(t, fc)
+	conserved(t, other)
 }
 
-// TestFlowCacheOneHookPerLivePath is the regression test for the destroy-hook
-// leak: InvalidateAll (every UDP bind/unbind and ARP learn) and a direct
-// InvalidatePath (splice, multipath re-pin) used to forget that a still-live
-// path carried the cache's hook, so the next Insert appended another — a
-// long-lived path beside control-plane churn grew one closure per round and
-// its Destroy ran InvalidatePath that many times.
-func TestFlowCacheOneHookPerLivePath(t *testing.T) {
+// TestFlowCacheRebindKeepsLaw: inserting a key that is already bound replaces
+// the binding, and the replaced one counts as an invalidation — Inserts used
+// to run one ahead of the law's right-hand side.
+func TestFlowCacheRebindKeepsLaw(t *testing.T) {
 	fc := NewFlowCache(4)
-	p := &Path{}
-	for round := 0; round < 1000; round++ {
-		fc.Insert(fkey(1), p)
-		if round%2 == 0 {
-			fc.InvalidateAll()
-		} else {
-			fc.InvalidatePath(p)
-		}
-	}
-	fc.Insert(fkey(1), p)
-	if n := len(p.onDestroy); n != 1 {
-		t.Fatalf("live path carries %d destroy hooks after 1000 invalidate+insert rounds, want 1", n)
-	}
-	gen := fc.Gen()
-	p.Destroy()
-	if got := fc.Gen() - gen; got != 1 {
-		t.Errorf("Destroy ran InvalidatePath %d times, want 1", got)
-	}
-	if _, hit := fc.Lookup(fkey(1)); hit {
-		t.Error("destroyed path still cached")
-	}
-	if len(fc.hooked) != 0 {
-		t.Errorf("dead path still in hooked (%d entries)", len(fc.hooked))
-	}
-	conserved(t, fc)
-}
-
-// TestFlowCacheEvictionStaleAndDuplicateSlots drives evictOldest through an
-// order slate full of stale and superseded slots.
-func TestFlowCacheEvictionStaleAndDuplicateSlots(t *testing.T) {
-	fc := NewFlowCache(2)
-	pA, pB, q := &Path{}, &Path{}, &Path{}
+	pA, pB := &Path{}, &Path{}
 	fc.Insert(fkey(1), pA)
-	fc.Insert(fkey(2), q)
-	fc.InvalidatePath(pA)  // k1 slot stale
-	fc.Insert(fkey(1), pB) // k1 has a stale and a live slot
-	fc.Insert(fkey(3), q)  // eviction must skip k1's stale slot, take k2
-	if _, hit := fc.Lookup(fkey(1)); !hit {
-		t.Error("live re-insert evicted via its stale slot")
+	g := fc.Gen()
+	fc.Insert(fkey(1), pB)
+	if got, hit := fc.Lookup(fkey(1)); !hit || got != pB {
+		t.Error("re-bound key does not resolve to the new path")
 	}
-	if _, hit := fc.Lookup(fkey(3)); !hit {
-		t.Error("newest entry missing")
+	if fc.Gen() == g {
+		t.Error("re-binding a key did not advance the generation (a burst memo may hold the old path)")
 	}
-	if fc.Len() != 2 {
-		t.Errorf("len = %d, want 2", fc.Len())
+	if st := fc.Stats(); fc.Len() != 1 || st.Inserts != 2 || st.Invalidations != 1 {
+		t.Errorf("len=%d %+v, want len 1, 2 inserts, 1 invalidation", fc.Len(), st)
 	}
 	conserved(t, fc)
 }
 
 // TestFlowCacheInvalidateAllThenReinsert checks the wholesale invalidation
-// resets the order slate and generation, and the cache repopulates cleanly.
+// empties the cache and advances the generation, and the cache repopulates
+// cleanly.
 func TestFlowCacheInvalidateAllThenReinsert(t *testing.T) {
 	fc := NewFlowCache(4)
 	p := &Path{}
@@ -191,8 +171,8 @@ func TestFlowCacheInvalidateAllThenReinsert(t *testing.T) {
 	if fc.Gen() == genBefore {
 		t.Error("InvalidateAll did not advance the generation")
 	}
-	if fc.Len() != 0 || len(fc.order) != 0 {
-		t.Fatalf("cache not empty after InvalidateAll: len=%d order=%d", fc.Len(), len(fc.order))
+	if fc.Len() != 0 {
+		t.Fatalf("cache not empty after InvalidateAll: len=%d", fc.Len())
 	}
 	// An empty-cache InvalidateAll still advances the generation: a burst
 	// memo can hold a binding the cache already evicted.
@@ -208,44 +188,6 @@ func TestFlowCacheInvalidateAllThenReinsert(t *testing.T) {
 		if _, hit := fc.Lookup(fkey(i)); !hit {
 			t.Errorf("key %d missing after repopulation", i)
 		}
-	}
-	conserved(t, fc)
-}
-
-// TestFlowCacheOrderExhaustedFullClear drives the defensive branch of
-// evictOldest: entries present with no order slots at all (bookkeeping
-// corruption) clears the whole map deterministically instead of looping.
-func TestFlowCacheOrderExhaustedFullClear(t *testing.T) {
-	fc := NewFlowCache(2)
-	p := &Path{}
-	// Plant entries without order slots — unreachable via the public API.
-	fc.entries[fkey(1)] = flowEntry{path: p, seq: 1}
-	fc.entries[fkey(2)] = flowEntry{path: p, seq: 2}
-	fc.stats.Inserts += 2
-	fc.Insert(fkey(3), p)
-	if fc.Len() != 1 {
-		t.Errorf("len = %d, want 1 (defensive full clear then insert)", fc.Len())
-	}
-	if _, hit := fc.Lookup(fkey(3)); !hit {
-		t.Error("inserted key missing after defensive clear")
-	}
-	if st := fc.Stats(); st.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", st.Evictions)
-	}
-	conserved(t, fc)
-}
-
-// TestFlowCacheCompactBoundsOrder churns invalidate/re-insert cycles and
-// requires the order slate to stay bounded by compaction.
-func TestFlowCacheCompactBoundsOrder(t *testing.T) {
-	fc := NewFlowCache(8)
-	for i := 0; i < 1000; i++ {
-		p := &Path{}
-		fc.Insert(fkey(i%8), p)
-		fc.InvalidatePath(p)
-	}
-	if len(fc.order) > 2*fc.cap+1 {
-		t.Errorf("order slate unbounded: %d slots for cap %d", len(fc.order), fc.cap)
 	}
 	conserved(t, fc)
 }

@@ -559,7 +559,8 @@ func (p *Path) Delete() { p.Destroy() }
 type freer interface{ Free() }
 
 // Destroy tears the path down completely and idempotently: stage destroy
-// functions run in reverse creation order, every queue is drained with each
+// functions run in reverse creation order, the path's bindings leave every
+// flow cache registered on its graph, every queue is drained with each
 // queued message's buffer reference released (a queued item is an fbuf ref
 // the path still owns — nilling it would leak the buffer), the destroy hooks
 // registered by outside subsystems run, the queue hooks are unhooked, and
@@ -577,6 +578,11 @@ func (p *Path) Destroy() {
 	p.paused = false
 	p.pausedAt = ""
 	destroyStages(p.stages)
+	if p.graph != nil {
+		for _, fc := range p.graph.flowCaches {
+			fc.InvalidatePath(p)
+		}
+	}
 	for _, q := range p.Q {
 		if q == nil {
 			continue

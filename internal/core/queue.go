@@ -198,15 +198,6 @@ func (q *Queue) Drain() []any {
 	return drained
 }
 
-// Reset empties the queue and zeroes its counters.
-func (q *Queue) Reset() {
-	for i := range q.items {
-		q.items[i] = nil
-	}
-	q.head, q.n = 0, 0
-	q.enqueued, q.dequeued, q.dropped, q.shed = 0, 0, 0, 0
-}
-
 // Queue indices within a path (§2.5: "For each direction, there is an input
 // and an output queue"). The input queue for direction d sits at the end
 // where d-traveling messages originate; the output queue at the end where

@@ -6,12 +6,11 @@ import (
 	"sort"
 
 	"scout/internal/attr"
-	"scout/internal/msg"
 )
 
-// NoService is the service index passed to CreateStage and Demux when a path
-// is created on (or a message injected at) a router directly rather than
-// entering through one of its services. It matches the paper's use of -1.
+// NoService is the service index passed to CreateStage when a path is
+// created on a router directly rather than entering through one of its
+// services. It matches the paper's use of -1.
 const NoService = -1
 
 // ServiceSpec describes one service of a router, as a spec file would
@@ -30,8 +29,11 @@ type NextHop struct {
 	Service int // service index on Router through which the path enters
 }
 
-// Impl is what a router author writes: the paper's init, createStage and
-// demux function pointers plus the service declarations from the spec file.
+// Impl is what a router author writes: the paper's init and createStage
+// function pointers plus the service declarations from the spec file. The
+// third pointer, demux (§3.5), is not part of this interface: a router that
+// classifies registers a continuation with the router below it (see
+// eth.BindType).
 type Impl interface {
 	// Services declares the router's external interface.
 	Services() []ServiceSpec
@@ -45,10 +47,6 @@ type Impl interface {
 	// The returned NextHop selects the next router, or nil if the path
 	// ends here (leaf router or invariants too weak, §2.5).
 	CreateStage(r *Router, enter int, a *attr.Attrs) (*Stage, *NextHop, error)
-	// Demux classifies a message arriving through service enter into a
-	// path (§3.5). Routers that cannot decide alone strip their header
-	// and ask the next router to refine the decision.
-	Demux(r *Router, enter int, m *msg.Msg) (*Path, error)
 }
 
 // Link is one edge endpoint: the peer router and the peer's service index.
@@ -84,9 +82,6 @@ func (r *Router) ServiceIndex(name string) int {
 // Service returns the spec of service i.
 func (r *Router) Service(i int) ServiceSpec { return r.services[i] }
 
-// NumServices reports how many services the router declares.
-func (r *Router) NumServices() int { return len(r.services) }
-
 // Links returns the edges attached to service i (may be empty).
 func (r *Router) Links(i int) []Link { return r.links[i] }
 
@@ -105,25 +100,6 @@ func (r *Router) Link(name string) (Link, error) {
 // order (may be empty). Multi-homed routers — IP over several parallel ETH
 // links — iterate this instead of assuming Link's unique peer.
 func (r *Router) LinksOf(name string) []Link { return r.links[r.ServiceIndex(name)] }
-
-// MustLink is Link but panics on error; for boot-time wiring.
-func (r *Router) MustLink(name string) Link {
-	l, err := r.Link(name)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// ConnectCounts mirrors the paper's rCreate(name, c[]): how many times each
-// service is connected.
-func (r *Router) ConnectCounts() []int {
-	c := make([]int, len(r.services))
-	for i := range r.services {
-		c[i] = len(r.links[i])
-	}
-	return c
-}
 
 func (r *Router) String() string { return r.Name }
 
@@ -303,17 +279,6 @@ func (g *Graph) initOrder() ([]*Router, error) {
 		}
 	}
 	return order, nil
-}
-
-// Demux runs the classification process starting at router r, service enter.
-// It is a convenience wrapper that devices call from their receive
-// "interrupt" (§3.5, §4.3); the real work happens in the routers' Demux
-// implementations, which refine the decision hop by hop.
-//
-// Demux must not consume the message: routers peek at their headers rather
-// than popping them, so that the classified path sees the full packet.
-func (g *Graph) Demux(r *Router, enter int, m *msg.Msg) (*Path, error) {
-	return r.Impl.Demux(r, enter, m)
 }
 
 // ErrNoPath is returned by demux when no path wants the message; the caller

@@ -31,9 +31,6 @@ func (g *Graph) AddRule(r Rule) {
 	g.InvalidateFlows()
 }
 
-// Rules returns the registered rules in registration order.
-func (g *Graph) Rules() []Rule { return g.rules }
-
 // applyRules runs creation phase 4 on p.
 func (g *Graph) applyRules(p *Path) error {
 	const maxRounds = 100

@@ -75,14 +75,11 @@ func NewPool(payload, headroom, prealloc, limit int) *Pool {
 	return p
 }
 
-// PayloadSize reports the usable payload bytes per buffer.
-func (p *Pool) PayloadSize() int { return p.payload }
-
 // Headroom reports the reserved header space per buffer.
 func (p *Pool) Headroom() int { return p.headroom }
 
-// Get returns a message whose view covers n payload bytes (n <= PayloadSize)
-// with the pool's full headroom in front.
+// Get returns a message whose view covers n payload bytes (at most the
+// pool's payload size) with the pool's full headroom in front.
 func (p *Pool) Get(n int) (*msg.Msg, error) {
 	if n < 0 || n > p.payload {
 		return nil, fmt.Errorf("fbuf: request %d exceeds payload size %d", n, p.payload)

@@ -6,7 +6,6 @@ import (
 
 	"scout/internal/attr"
 	"scout/internal/core"
-	"scout/internal/msg"
 )
 
 // FileIfaceType is the file-system interface type (§3.1 mentions it as one
@@ -62,11 +61,6 @@ func (s *SCSIImpl) Services() []core.ServiceSpec {
 // Init has no work.
 func (s *SCSIImpl) Init(r *core.Router) error { return nil }
 
-// Demux: disks do not receive unsolicited messages.
-func (s *SCSIImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
-
 // CreateStage contributes the device (leaf) stage.
 func (s *SCSIImpl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stage, *core.NextHop, error) {
 	st := &core.Stage{}
@@ -105,11 +99,6 @@ func (u *UFSImpl) Services() []core.ServiceSpec {
 
 // Init has no work.
 func (u *UFSImpl) Init(r *core.Router) error { return nil }
-
-// Demux: file systems do not classify network data.
-func (u *UFSImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
 
 // CreateStage contributes the UFS stage: ReadFile resolves the inode
 // (buffer-cached metadata) and issues the data-block reads through the SCSI
@@ -210,11 +199,6 @@ func (v *VFSImpl) Services() []core.ServiceSpec {
 
 // Init has no work.
 func (v *VFSImpl) Init(r *core.Router) error { return nil }
-
-// Demux: nothing to classify.
-func (v *VFSImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
 
 // CreateStage contributes the VFS stage (pass-through namespace; a fuller
 // system would mount multiple UFS instances here).

@@ -44,7 +44,7 @@ type Analyzer struct {
 	Doc  string
 	// IncludeTests adds _test.go files (syntax only, no type info) to the
 	// pass. Analyzers that need type info must tolerate Info==nil misses
-	// on those files or inspect pass.IsTestFile.
+	// on those files.
 	IncludeTests bool
 	// InternalOnly restricts the analyzer to packages under
 	// <module>/internal/.
@@ -86,12 +86,6 @@ func (p *Pass) ReportfChain(pos token.Pos, chain []string, format string, args .
 		Msg:   fmt.Sprintf(format, args...),
 		Chain: chain,
 	})
-}
-
-// IsTestFile reports whether f was parsed from a _test.go file.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	name := p.Pkg.Mod.Fset.Position(f.Package).Filename
-	return strings.HasSuffix(name, "_test.go")
 }
 
 // All returns every analyzer in the suite, in stable order: the per-function

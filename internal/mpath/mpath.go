@@ -74,9 +74,6 @@ func (s *Subpath) LatEWMA() time.Duration { return s.latEWMA }
 // LossEWMA reports the smoothed loss estimate in [0, 1).
 func (s *Subpath) LossEWMA() float64 { return s.lossEWMA }
 
-// QDepth reports the last sampled device-end queue depth.
-func (s *Subpath) QDepth() int { return s.qdepth }
-
 // SubStats is a point-in-time snapshot of one subpath's counters.
 type SubStats struct {
 	ID       int

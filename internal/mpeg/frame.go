@@ -51,9 +51,6 @@ func (f *Frame) Clone() *Frame {
 func (f *Frame) MBWidth() int  { return f.W / 16 }
 func (f *Frame) MBHeight() int { return f.H / 16 }
 
-// NumMB reports the total macroblock count.
-func (f *Frame) NumMB() int { return f.MBWidth() * f.MBHeight() }
-
 func clampByte(v int32) byte {
 	if v < 0 {
 		return 0

@@ -127,9 +127,6 @@ func (m *Msg) LinkDst() (mac [6]byte, ok bool) {
 	return m.linkDst, m.meta&metaLinkDst != 0
 }
 
-// ClearMeta invalidates all flat routing metadata (Tag is untouched).
-func (m *Msg) ClearMeta() { m.meta = 0 }
-
 // msgPool and refsPool recycle message views and their refcount cells for
 // pool-backed (fbuf) messages, whose lifecycle is explicit: the data path
 // cycles one view per packet, and without recycling those structs are the

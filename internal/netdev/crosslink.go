@@ -71,9 +71,6 @@ func NewCrossLink(c *sim.Cluster, xid int64, a, b *sim.Engine, cfg LinkConfig) *
 	return l
 }
 
-// IsCross reports whether the link spans two cluster shards.
-func (l *Link) IsCross() bool { return l.cross != nil }
-
 // NewDeviceOn attaches a NIC to the given side of a cross link, identified
 // by its engine. Each side carries exactly one device.
 func NewDeviceOn(l *Link, addr MAC, cpu *sched.Sched, eng *sim.Engine) *Device {

@@ -71,9 +71,6 @@ func (l *Link) InjectFaults(plan FaultPlan) {
 	l.faults = &faultState{plan: plan}
 }
 
-// ClearFaults removes the installed fault plan.
-func (l *Link) ClearFaults() { l.faults = nil }
-
 // FaultStats reports the injected-fault counters (zero without a plan).
 func (l *Link) FaultStats() FaultStats {
 	if l.faults == nil {

@@ -149,9 +149,6 @@ func (l *Link) SetUp() {
 	}
 }
 
-// IsDown reports whether the link is administratively down.
-func (l *Link) IsDown() bool { return l.down }
-
 // DownDrops reports how many frames were dropped because the link was
 // administratively down.
 func (l *Link) DownDrops() int64 { return l.downDrops }
@@ -365,7 +362,7 @@ type Device struct {
 	Flows *core.FlowCache
 
 	// OnLinkDown, when non-nil, is the failure detector's verdict callback:
-	// it fires at most once (until ClearLinkDown) when either detector mode
+	// it fires at most once, when either detector mode
 	// concludes the device's link is dead — TxLossThreshold consecutive
 	// carrier losses on transmit, or ArmSilence's receive-silence window
 	// elapsing on the virtual clock. Both modes are deterministic: they
@@ -376,7 +373,6 @@ type Device struct {
 	// disables the mode.
 	TxLossThreshold int
 
-	txLoss       int64
 	txLossStreak int
 	silence      time.Duration
 	lastRx       sim.Time
@@ -433,18 +429,14 @@ func (d *Device) Transmit(dst MAC, m *msg.Msg) {
 	d.link.transmit(d, dst, m)
 }
 
-// noteTxLoss records one transmit-time carrier loss and fires the detector
+// noteTxLoss counts one transmit-time carrier loss and fires the detector
 // when the consecutive-loss streak reaches the threshold.
 func (d *Device) noteTxLoss() {
-	d.txLoss++
 	d.txLossStreak++
 	if d.TxLossThreshold > 0 && d.txLossStreak >= d.TxLossThreshold {
 		d.fireLinkDown()
 	}
 }
-
-// TxLosses reports how many transmissions died for lack of carrier.
-func (d *Device) TxLosses() int64 { return d.txLoss }
 
 func (d *Device) fireLinkDown() {
 	if d.ldFired {
@@ -470,10 +462,6 @@ func (d *Device) ArmSilence(timeout time.Duration) {
 	d.eng.At(d.eng.Now().Add(timeout), d.checkSilence)
 }
 
-// DisarmSilence stops the receive-silence detector; an in-flight check
-// becomes a no-op.
-func (d *Device) DisarmSilence() { d.silence = 0 }
-
 func (d *Device) checkSilence() {
 	if d.silence <= 0 || d.ldFired {
 		return
@@ -484,16 +472,6 @@ func (d *Device) checkSilence() {
 		return
 	}
 	d.eng.At(deadline, d.checkSilence)
-}
-
-// ClearLinkDown re-arms the one-shot detector (after SetUp, or after a
-// migration moved the path off this device) and resets the loss streak.
-func (d *Device) ClearLinkDown() {
-	d.ldFired = false
-	d.txLossStreak = 0
-	if d.silence > 0 {
-		d.ArmSilence(d.silence)
-	}
 }
 
 // receive lands one frame in the device's burst; the link flushes it once

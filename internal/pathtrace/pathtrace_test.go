@@ -44,10 +44,6 @@ func (c *chainImpl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core
 	return s, next, nil
 }
 
-func (c *chainImpl) Demux(*core.Router, int, *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
-
 func netSvc(name string, after bool) core.ServiceSpec {
 	return core.ServiceSpec{Name: name, Type: core.NetServiceType, InitAfterPeers: after}
 }

@@ -204,15 +204,6 @@ func (a *Impl) CreateStage(r *core.Router, enter int, at *attr.Attrs) (*core.Sta
 	return s, &core.NextHop{Router: l.Peer, Service: l.PeerService}, nil
 }
 
-// Demux is unused: ETH classifies ARP frames straight to the listen path of
-// the arrival link; returning the first path keeps the interface total.
-func (a *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	if len(a.links) == 0 || a.links[0].path == nil {
-		return nil, core.ErrNoPath
-	}
-	return a.links[0].path, nil
-}
-
 // process handles one inbound ARP packet (thread context) that arrived on
 // down link idx.
 func (a *Impl) process(idx int, m *msg.Msg) {

@@ -118,6 +118,13 @@ func (e *Impl) MAC() netdev.MAC { return e.dev.Addr }
 // BindType registers the classifier continuation for an Ethernet type;
 // upper routers (IP, ARP) call this from their Init. The continuation
 // receives the frame with the Ethernet header already stripped.
+//
+// These continuations are the paper's demux operation (§3.5): a router that
+// cannot decide alone strips its header and asks the router above, through
+// the continuation bound to the field it just read, to refine the decision
+// (IP binds the same way by protocol, UDP and TCP end the chain at their port
+// tables). A continuation must leave the message as it found it, so the
+// classified path sees the full frame.
 func (e *Impl) BindType(etherType uint16, demux func(m *msg.Msg) (*core.Path, error)) error {
 	if _, dup := e.byType[etherType]; dup {
 		return fmt.Errorf("eth: ether type %#04x bound twice", etherType)
@@ -301,11 +308,6 @@ func (e *Impl) ClassifyUncached(m *msg.Msg) (*core.Path, error) {
 	p, err := next(m)
 	m.Push(HeaderLen) // restore the view; bytes are untouched
 	return p, err
-}
-
-// Demux implements the router demux operation by running the classifier.
-func (e *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return e.Classify(m)
 }
 
 // stageData holds the per-path state of an ETH stage.

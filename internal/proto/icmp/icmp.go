@@ -143,11 +143,6 @@ func (c *Impl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stag
 	return s, &core.NextHop{Router: down.Peer, Service: down.PeerService}, nil
 }
 
-// Demux is unused; IP classifies ICMP straight to the listen path.
-func (c *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return c.path, nil
-}
-
 // process answers echo requests.
 func (c *Impl) process(i *core.NetIface, m *msg.Msg) {
 	var src inet.Addr

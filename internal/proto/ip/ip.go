@@ -132,7 +132,7 @@ type Impl struct {
 	PendingLimit int
 
 	router    *core.Router
-	ethImpl   *eth.Impl  // first down link; reassembly redelivers through it
+	ethImpl   *eth.Impl   // first down link; reassembly redelivers through it
 	eths      []*eth.Impl // all down links, connection order (parallel NICs)
 	arpImpl   *arp.Impl
 	byProto   map[uint8]func(m *msg.Msg) (*core.Path, error)
@@ -258,11 +258,6 @@ func (p *Impl) classify(m *msg.Msg) (*core.Path, error) {
 	path, err := next(m)
 	m.Push(HeaderLen)
 	return path, err
-}
-
-// Demux implements the router demux operation.
-func (p *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return p.classify(m)
 }
 
 // Stats returns a snapshot of counters.

@@ -151,11 +151,6 @@ func (f *Impl) Services() []core.ServiceSpec {
 // identifies the path.
 func (f *Impl) Init(r *core.Router) error { return nil }
 
-// Demux refines nothing; UDP's table is decisive for MFLOW traffic.
-func (f *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
-
 // flowState is the per-flow receiver/sender state. A single-path flow owns
 // exactly one; a multipath flow shares one flowState across the primary path
 // and every joined sibling subpath (PA_MPATH_JOIN), which is what gives the

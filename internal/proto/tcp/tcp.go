@@ -219,11 +219,6 @@ func (t *Impl) classify(m *msg.Msg) (*core.Path, error) {
 	return nil, core.ErrNoPath
 }
 
-// Demux implements the router demux operation.
-func (t *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return t.classify(m)
-}
-
 // Stats returns a snapshot of counters.
 func (t *Impl) Stats() Stats { return t.stats }
 
@@ -289,21 +284,7 @@ func (t *Impl) allocPort() (uint16, error) {
 	return 0, errors.New("tcp: ephemeral port space exhausted")
 }
 
-// ConnOf returns the TCP connection state helpers for path p.
-func ConnOf(p *core.Path, routerName string) (*Conn, bool) {
-	s := p.StageOf(routerName)
-	if s == nil {
-		return nil, false
-	}
-	c, ok := s.Data.(*conn)
-	if !ok {
-		return nil, false
-	}
-	return &Conn{c: c}, true
-}
-
-// Conn is the public handle to a connection stage (used by tests and by
-// routers above TCP for things the message stream doesn't cover).
+// Conn is a read-only handle to a connection stage's state.
 type Conn struct{ c *conn }
 
 // State reports a human-readable connection state.

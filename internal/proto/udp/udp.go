@@ -146,16 +146,8 @@ func (u *Impl) classify(m *msg.Msg) (*core.Path, error) {
 	return nil, core.ErrNoPath
 }
 
-// Demux implements the router demux operation.
-func (u *Impl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return u.classify(m)
-}
-
 // Stats returns a snapshot of counters.
 func (u *Impl) Stats() Stats { return u.stats }
-
-// LocalAddr reports the host address (from IP).
-func (u *Impl) LocalAddr() inet.Addr { return u.ipImpl.Addr() }
 
 type udpStage struct {
 	impl   *Impl

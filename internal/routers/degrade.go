@@ -1,7 +1,6 @@
 package routers
 
 import (
-	"sync"
 	"time"
 
 	"scout/internal/core"
@@ -76,8 +75,8 @@ type VideoDegrader struct {
 
 // AttachDegrader installs a degradation controller on an MPEG path. Its
 // early-discard filter composes with any already installed (decimation):
-// either filter discarding drops the packet. The controller detaches itself
-// (ticker stopped) when the path is destroyed.
+// either filter discarding drops the packet. The controller lives on the
+// path's MPEG stage; its ticker stops when the path is destroyed.
 func AttachDegrader(eng *sim.Engine, p *core.Path, cfg DegradeConfig) *VideoDegrader {
 	if cfg.GOP <= 1 {
 		cfg.GOP = 15
@@ -102,31 +101,20 @@ func AttachDegrader(eng *sim.Engine, p *core.Path, cfg DegradeConfig) *VideoDegr
 	}
 
 	d.ticker = eng.Tick(cfg.Window, d.tick)
-	degMu.Lock()
-	degByPath[p] = d
-	degMu.Unlock()
-	p.AddDestroyHook(func(*core.Path) {
-		d.ticker.Stop()
-		degMu.Lock()
-		delete(degByPath, p)
-		degMu.Unlock()
-	})
+	if sd := mpegStageOf(p); sd != nil {
+		sd.degrader = d
+	}
+	p.AddDestroyHook(func(*core.Path) { d.ticker.Stop() })
 	return d
 }
 
-// Degraders attached to live paths. Keyed by pointer, not PID: PIDs are
-// per-graph and experiments boot many kernels per process. Entries are
-// removed by the path's destroy hook.
-var (
-	degMu     sync.Mutex
-	degByPath = map[*core.Path]*VideoDegrader{}
-)
-
-// DegraderOf returns the degradation controller attached to p, or nil.
+// DegraderOf returns the degradation controller attached to p, or nil; a
+// dead path has none.
 func DegraderOf(p *core.Path) *VideoDegrader {
-	degMu.Lock()
-	defer degMu.Unlock()
-	return degByPath[p]
+	if sd := mpegStageOf(p); sd != nil && !p.Dead() {
+		return sd.degrader
+	}
+	return nil
 }
 
 // Level reports the current ladder rung (0 = full quality).
@@ -188,8 +176,10 @@ func (d *VideoDegrader) discard(item any) bool {
 // alfFrameNo peeks the ALF frame number (and the MFLOW sequence number) of a
 // raw Ethernet frame through the stacked headers, like DecimationFilter.
 func alfFrameNo(item any) (frameNo, seq uint32, ok bool) {
-	const mfOff = 14 /*eth*/ + 20 /*ip*/ + 8 /*udp*/
-	const off = mfOff + 17 /*mflow*/
+	const (
+		mfOff = 14 + 20 + 8 // eth + ip + udp headers
+		off   = mfOff + 17  // + mflow header
+	)
 	m, ok := item.(peeker)
 	if !ok {
 		return 0, 0, false

@@ -53,11 +53,6 @@ func (d *DisplayImpl) Services() []core.ServiceSpec {
 // Init has no work.
 func (d *DisplayImpl) Init(r *core.Router) error { return nil }
 
-// Demux refines nothing.
-func (d *DisplayImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
-
 // displayStage is the per-path display-end state.
 type displayStage struct {
 	impl    *DisplayImpl

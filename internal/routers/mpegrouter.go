@@ -55,11 +55,6 @@ func (mp *MPEGImpl) Services() []core.ServiceSpec {
 // Init has no work; MPEG paths are created on DISPLAY at runtime.
 func (mp *MPEGImpl) Init(r *core.Router) error { return nil }
 
-// Demux refines nothing; classification ends at UDP.
-func (mp *MPEGImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
-
 // mpegStage is the per-path decode state.
 type mpegStage struct {
 	impl     *MPEGImpl
@@ -71,6 +66,9 @@ type mpegStage struct {
 	// scratch is reused by input for every parsed packet (neither decoder
 	// retains the pointer past its call), keeping parse off the heap.
 	scratch mpeg.Packet
+	// degrader is the path's overload controller, when AttachDegrader
+	// installed one.
+	degrader *VideoDegrader
 
 	// Stats
 	Packets int64
@@ -229,6 +227,16 @@ func (sd *mpegStage) input(i *core.NetIface, m *msg.Msg) error {
 		return core.ErrEndOfPath
 	}
 	return vi.DeliverFrame(vi, done)
+}
+
+// mpegStageOf returns p's MPEG stage state, or nil when p has no MPEG stage.
+func mpegStageOf(p *core.Path) *mpegStage {
+	for _, s := range p.Stages() {
+		if sd, ok := s.Data.(*mpegStage); ok {
+			return sd
+		}
+	}
+	return nil
 }
 
 // MPEGStats reports per-path decode counters.

@@ -45,8 +45,6 @@ type ShellImpl struct {
 
 	paths  map[int64]*core.Path
 	grants map[int64]int64 // path pid → admission grant id
-
-	commands int64
 }
 
 // NewShell returns a SHELL router listening on the given UDP port.
@@ -77,11 +75,6 @@ func (sh *ShellImpl) Init(r *core.Router) error {
 	sh.path = p
 	sh.thread = sched.ServeIncoming(sh.cpu, "shell", sched.PolicyRR, sh.Priority, p, core.BWD)
 	return nil
-}
-
-// Demux refines nothing (UDP's table decides).
-func (sh *ShellImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
 }
 
 // CreateStage contributes the SHELL stage of the listen path.
@@ -139,7 +132,6 @@ func (sh *ShellImpl) handle(m *msg.Msg) {
 //	stat <pid>
 //	    report a path's display statistics.
 func (sh *ShellImpl) Execute(cmd string, from inet.Participants) string {
-	sh.commands++
 	fields := strings.Fields(cmd)
 	if len(fields) == 0 {
 		return "ERR empty command"
@@ -266,6 +258,3 @@ func (sh *ShellImpl) cmdMPEG(args []string, from inet.Participants) string {
 
 // Paths returns the live paths created by this shell, keyed by pid.
 func (sh *ShellImpl) Paths() map[int64]*core.Path { return sh.paths }
-
-// Commands reports how many commands were executed.
-func (sh *ShellImpl) Commands() int64 { return sh.commands }

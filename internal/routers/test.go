@@ -42,11 +42,6 @@ func (ti *TestImpl) Services() []core.ServiceSpec {
 // Init has no work.
 func (ti *TestImpl) Init(r *core.Router) error { return nil }
 
-// Demux refines nothing.
-func (ti *TestImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
-
 // CreateStage contributes the TEST end stage.
 func (ti *TestImpl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Stage, *core.NextHop, error) {
 	if enter != core.NoService {

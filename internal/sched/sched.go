@@ -449,6 +449,3 @@ func (s *Sched) Stats() Stats {
 	}
 	return st
 }
-
-// Idle reports whether no execution is in progress.
-func (s *Sched) Idle() bool { return !s.busy }

@@ -417,6 +417,3 @@ func (stubImpl) CreateStage(r *core.Router, enter int, a *attr.Attrs) (*core.Sta
 	s.SetIface(core.FWD, core.NewNetIface(func(i *core.NetIface, m *msg.Msg) error { return nil }))
 	return s, nil, nil
 }
-func (stubImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}

@@ -40,9 +40,6 @@ func NewWatchdog(s *Sched, starveAfter time.Duration) *Watchdog {
 	return w
 }
 
-// Watchdog returns the attached watchdog, or nil.
-func (s *Sched) Watchdog() *Watchdog { return s.watchdog }
-
 // DeadlineMisses reports executions that retired past their deadline.
 func (w *Watchdog) DeadlineMisses() int64 { return w.deadlineMisses }
 

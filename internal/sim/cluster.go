@@ -251,9 +251,3 @@ func (x *Xport) Post(t Time, fn func()) {
 	x.seq++
 	x.src.outbox = append(x.src.outbox, xmsg{when: t, xid: x.id, seq: x.seq, fn: fn, dst: x.dst})
 }
-
-// Src reports the source shard engine.
-func (x *Xport) Src() *Engine { return x.src }
-
-// Dst reports the destination shard engine.
-func (x *Xport) Dst() *Engine { return x.dst }

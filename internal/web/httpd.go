@@ -85,11 +85,6 @@ func (h *HTTPImpl) Init(r *core.Router) error {
 	return nil
 }
 
-// Demux refines nothing; TCP's tables are decisive.
-func (h *HTTPImpl) Demux(r *core.Router, enter int, m *msg.Msg) (*core.Path, error) {
-	return nil, core.ErrNoPath
-}
-
 // httpConn is the per-connection state.
 type httpConn struct {
 	impl    *HTTPImpl
