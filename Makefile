@@ -13,7 +13,7 @@ BENCHCOUNT ?= 5
 BENCHOUT ?= BENCH_pr14.json
 BENCHBASE ?= BENCH_pr10.json
 
-.PHONY: check build vet test race lint lintgraph bench benchdiff benchsmoke gates uncovered
+.PHONY: check build vet test race fuzz lint lintgraph bench benchdiff benchsmoke gates uncovered
 
 check: build vet test race lint gates benchsmoke benchdiff
 
@@ -28,6 +28,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz gives every Fuzz* target in the module ten seconds of generated inputs
+# (`go test -fuzz` takes one target of one package at a time). The seeds run
+# in `test` already; this is the CI step after it, and not part of `check`.
+# A failing input is written under the package's testdata/fuzz/: commit it.
+fuzz:
+	@set -e; grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' . | \
+	while IFS=: read -r file fn; do \
+		echo "fuzz $${file%/*} $${fn#func }"; \
+		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s "$${file%/*}"; \
+	done
 
 # lint runs the full 12-analyzer suite with per-analyzer wall time on
 # stderr, so a slow analyzer is visible the day it regresses.

@@ -474,8 +474,8 @@ func (p *Proc) decode(alf []byte) (time.Duration, []*display.Frame) {
 	cost := c.Decode.PerPacket + time.Duration(len(pkt.Data)*8)*c.Decode.PerBit
 	var done *display.Frame
 	if p.hdrDec != nil {
-		tf, err := p.hdrDec.Consume(pkt)
-		if err == nil && tf != nil {
+		tf, ok, err := p.hdrDec.Consume(pkt)
+		if err == nil && ok {
 			done = &display.Frame{Seq: int(tf.No), W: int(pkt.MBW) * 16, H: int(pkt.MBH) * 16, Bits: tf.Bits}
 		}
 	} else {

@@ -38,11 +38,19 @@ type Pool struct {
 	payload  int // usable payload bytes per buffer
 	headroom int
 	limit    int // max live buffers (free+outstanding); 0 = unlimited
-	free     [][]byte
+	free     []spare
 	created  int
 	out      int // buffers currently held by messages
 
 	hits, misses, releases, exhausted int64
+}
+
+// spare is a free buffer and what is left of the last message over it: the
+// next Get builds its message out of that shell, so a buffer that has been
+// round the pool once costs no allocation again, on this run or any other.
+type spare struct {
+	buf   []byte
+	shell msg.Shell
 }
 
 // Stats is a snapshot of pool behaviour.
@@ -69,7 +77,7 @@ func NewPool(payload, headroom, prealloc, limit int) *Pool {
 	}
 	p := &Pool{payload: payload, headroom: headroom, limit: limit}
 	for i := 0; i < prealloc; i++ {
-		p.free = append(p.free, make([]byte, headroom+payload))
+		p.free = append(p.free, spare{buf: make([]byte, headroom+payload)})
 		p.created++
 	}
 	return p
@@ -84,19 +92,20 @@ func (p *Pool) Get(n int) (*msg.Msg, error) {
 	if n < 0 || n > p.payload {
 		return nil, fmt.Errorf("fbuf: request %d exceeds payload size %d", n, p.payload)
 	}
-	buf, err := p.take()
+	s, err := p.take()
 	if err != nil {
 		return nil, err
 	}
-	return msg.FromBuffer(buf, p.headroom, p.headroom+n, p), nil
+	return s.shell.FromBuffer(s.buf, p.headroom, p.headroom+n, p), nil
 }
 
 // GetBurst appends count messages of n payload bytes each to out, drawing
-// every buffer under a single lock acquisition and the view structs and
-// refcount cells from the arena — the burst-mode allocation path: one lock
-// round-trip and zero heap allocations per burst instead of per frame. Like
-// a NIC rx_burst it may come up short: at the buffer limit it returns the
-// messages it could build plus ErrExhausted.
+// every buffer under a single lock acquisition, and the view structs and
+// refcount cells of buffers on their first trip from the arena — the
+// burst-mode allocation path: one lock round-trip and zero heap allocations
+// per burst instead of per frame. Like a NIC rx_burst it may come up short:
+// at the buffer limit it returns the messages it could build plus
+// ErrExhausted.
 func (p *Pool) GetBurst(a *msg.Arena, out []*msg.Msg, count, n int) ([]*msg.Msg, error) {
 	if n < 0 || n > p.payload {
 		return out, fmt.Errorf("fbuf: request %d exceeds payload size %d", n, p.payload)
@@ -105,10 +114,10 @@ func (p *Pool) GetBurst(a *msg.Arena, out []*msg.Msg, count, n int) ([]*msg.Msg,
 	p.mu.Lock()
 	short := false
 	for i := 0; i < count; i++ {
-		var buf []byte
+		var s spare
 		if f := len(p.free); f > 0 {
-			buf = p.free[f-1]
-			p.free[f-1] = nil
+			s = p.free[f-1]
+			p.free[f-1] = spare{}
 			p.free = p.free[:f-1]
 			p.hits++
 		} else if p.limit > 0 && p.created >= p.limit {
@@ -116,12 +125,16 @@ func (p *Pool) GetBurst(a *msg.Arena, out []*msg.Msg, count, n int) ([]*msg.Msg,
 			short = true
 			break
 		} else {
-			buf = make([]byte, p.headroom+p.payload)
+			s.buf = make([]byte, p.headroom+p.payload)
 			p.created++
 			p.misses++
 		}
 		p.out++
-		out = append(out, a.FromBuffer(buf, p.headroom, p.headroom+n, p))
+		if s.shell == (msg.Shell{}) {
+			out = append(out, a.FromBuffer(s.buf, p.headroom, p.headroom+n, p))
+		} else {
+			out = append(out, s.shell.FromBuffer(s.buf, p.headroom, p.headroom+n, p))
+		}
 	}
 	p.mu.Unlock()
 	if short {
@@ -130,30 +143,33 @@ func (p *Pool) GetBurst(a *msg.Arena, out []*msg.Msg, count, n int) ([]*msg.Msg,
 	return out, nil
 }
 
-func (p *Pool) take() ([]byte, error) {
+func (p *Pool) take() (spare, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
-		buf := p.free[n-1]
-		p.free[n-1] = nil
+		s := p.free[n-1]
+		p.free[n-1] = spare{}
 		p.free = p.free[:n-1]
 		p.out++
 		p.hits++
-		return buf, nil
+		return s, nil
 	}
 	if p.limit > 0 && p.created >= p.limit {
 		p.exhausted++
-		return nil, ErrExhausted
+		return spare{}, ErrExhausted
 	}
 	p.created++
 	p.out++
 	p.misses++
-	return make([]byte, p.headroom+p.payload), nil
+	return spare{buf: make([]byte, p.headroom+p.payload)}, nil
 }
 
-// Release implements msg.Releaser; message views call it automatically on
+// Release returns a buffer whose message leaves nothing behind.
+func (p *Pool) Release(buf []byte) { p.Recycle(buf, msg.Shell{}) }
+
+// Recycle implements msg.Recycler; message views call it automatically on
 // final Free.
-func (p *Pool) Release(buf []byte) {
+func (p *Pool) Recycle(buf []byte, shell msg.Shell) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.releases++
@@ -175,7 +191,7 @@ func (p *Pool) Release(buf []byte) {
 		p.created--
 		return
 	}
-	p.free = append(p.free, buf)
+	p.free = append(p.free, spare{buf, shell})
 }
 
 // Limit reports the pool's current buffer limit (0 = unlimited).
@@ -202,7 +218,7 @@ func (p *Pool) SetLimit(limit int) {
 	}
 	for p.created > limit && len(p.free) > 0 {
 		n := len(p.free)
-		p.free[n-1] = nil
+		p.free[n-1] = spare{}
 		p.free = p.free[:n-1]
 		p.created--
 	}

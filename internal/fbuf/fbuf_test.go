@@ -2,6 +2,7 @@ package fbuf
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -279,12 +280,33 @@ func TestGetBurstOversized(t *testing.T) {
 	}
 }
 
+// TestGetFreeAllocatesNothingAfterACollection: a message's view and refcount
+// cell wait on the free list with its buffer, where a collection (which
+// empties a sync.Pool) does not reach them.
+func TestGetFreeAllocatesNothingAfterACollection(t *testing.T) {
+	p := NewPool(1500, 32, 0, 4)
+	cycle := func() {
+		m, err := p.Get(1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Free()
+	}
+	cycle()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cycle()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("Get and Free after a collection allocate %d objects", n)
+	}
+}
+
 // TestGetBurstZeroAlloc: a warm burst cycle — GetBurst, free all views,
 // release spares — must not allocate.
 func TestGetBurstZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool bypasses its caches under the race detector")
-	}
 	p := NewPool(1500, 32, 16, 16)
 	var a msg.Arena
 	out := make([]*msg.Msg, 0, 16)

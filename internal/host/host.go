@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"scout/internal/fbuf"
 	"scout/internal/msg"
 	"scout/internal/netdev"
 	"scout/internal/proto/eth"
@@ -21,7 +22,9 @@ import (
 	"scout/internal/sim"
 )
 
-// UDPHandler consumes an inbound datagram's payload.
+// UDPHandler consumes an inbound datagram's payload. The slice lies in the
+// received frame and is valid only during the call: a handler that keeps any
+// of it copies what it keeps.
 type UDPHandler func(src inet.Participants, payload []byte)
 
 // Host is a scriptable endpoint.
@@ -29,7 +32,8 @@ type Host struct {
 	Dev  *netdev.Device
 	Addr inet.Addr
 
-	eng *sim.Engine
+	eng    *sim.Engine
+	frames frameSource // where a Source draws each video packet's buffer
 
 	arpCache   map[inet.Addr]netdev.MAC
 	arpPending map[inet.Addr]*arpQuery
@@ -60,6 +64,7 @@ func New(link *netdev.Link, mac netdev.MAC, addr inet.Addr) *Host {
 	h := newHost(addr)
 	h.Dev = netdev.NewDevice(link, mac, nil)
 	h.eng = h.Dev.Engine()
+	h.frames = framePoolOf(h.eng)
 	h.Dev.OnReceive = h.receive
 	return h
 }
@@ -71,6 +76,7 @@ func NewOn(link *netdev.Link, mac netdev.MAC, addr inet.Addr, eng *sim.Engine) *
 	h := newHost(addr)
 	h.Dev = netdev.NewDeviceOn(link, mac, nil, eng)
 	h.eng = eng
+	h.frames = framePoolOf(eng)
 	h.Dev.OnReceive = h.receive
 	return h
 }
@@ -135,8 +141,7 @@ func (h *Host) handleIP(b []byte) {
 			return
 		}
 		h.UDPReceived++
-		payload := append([]byte(nil), body[udp.HeaderLen:uh.Length]...)
-		fn(inet.Participants{RemoteAddr: ih.Src, RemotePort: uh.SrcPort}, payload)
+		fn(inet.Participants{RemoteAddr: ih.Src, RemotePort: uh.SrcPort}, body[udp.HeaderLen:uh.Length])
 	case inet.ProtoICMP:
 		e, err := icmp.Parse(body)
 		if err != nil {
@@ -257,6 +262,45 @@ const (
 	udpHeadroom = ipHeadroom + udp.HeaderLen   // in front of a UDP payload
 )
 
+// framePoolLimit is twice the 32-packet input queue a video path advertises
+// as its MFLOW window: one window in flight plus one held by the receiver
+// covers a max-rate stream, and 64 MTU buffers are at most 97 kB retained per
+// engine however many hosts it simulates. A pool with no limit, per host or
+// shared, keeps its high-water mark (packets held behind a resequencing hole,
+// 64 paced hosts at once), and sync.Pool has no cap and retains by collector
+// timing: ROADMAP item 4 has the measurements.
+const framePoolLimit = 64
+
+// frameSource is a frame pool's Get. Host.frames has this type, and not
+// *fbuf.Pool, so that a test can stand a pool that poisons released buffers
+// in its place.
+type frameSource interface {
+	Get(n int) (*msg.Msg, error)
+}
+
+type framePoolKey struct{}
+
+// framePoolOf returns the pool that every host on eng draws its video
+// packets' buffers from: the largest UDP payload an Ethernet frame carries,
+// behind udpHeadroom, with nothing allocated until it is asked for. The
+// message travels the wire as it is, so the receiving kernel's final Free is
+// what returns the buffer, from whatever shard it runs on (the pool locks).
+// At the limit Get fails and the sender falls back to a GC-owned message.
+//
+// The pool lives and dies with the engine. The limit counts buffers that are
+// out as well as free ones, and a world dropped with packets in flight never
+// frees them: in a pool that outlived it they would count against every
+// later world, for good.
+//
+// Pool buffers come back dirty: only a sender that overwrites every payload
+// byte may draw from it (the headers pushed in front always write all of
+// theirs).
+func framePoolOf(eng *sim.Engine) *fbuf.Pool {
+	return eng.Local(framePoolKey{}, func() any {
+		return fbuf.NewPool(netdev.MTU-ip.HeaderLen-udp.HeaderLen, udpHeadroom, 0, framePoolLimit)
+	}).(*fbuf.Pool)
+}
+
 // SendFrame transmits a raw Ethernet payload (tests use it to inject
 // hand-built packets such as IP fragments).
 func (h *Host) SendFrame(dst netdev.MAC, etherType uint16, payload []byte) {
@@ -310,17 +354,20 @@ func (h *Host) emitIP(mac netdev.MAC, dst inet.Addr, proto uint8, m *msg.Msg) {
 func (h *Host) SendUDP(dst inet.Addr, dstPort, srcPort uint16, payload []byte) {
 	m := msg.NewWithHeadroom(udpHeadroom, len(payload))
 	copy(m.Bytes(), payload)
-	h.transmitUDP(dst, dstPort, srcPort, m)
+	h.transmitUDP(dst, dstPort, srcPort, m, len(payload), 0)
 }
 
 // transmitUDP sends the UDP payload m, which must have udpHeadroom in front.
-// The checksum runs over the datagram where it lies.
-func (h *Host) transmitUDP(dst inet.Addr, dstPort, srcPort uint16, m *msg.Msg) {
+// The checksum runs over the UDP header and the first head payload bytes
+// where they lie; rest is the folded sum of the payload bytes after them, at
+// the parity of their offset in the datagram (0 when head covers them all).
+func (h *Host) transmitUDP(dst inet.Addr, dstPort, srcPort uint16, m *msg.Msg, head int, rest uint16) {
 	m.Push(udp.HeaderLen)
 	dg := m.Bytes()
 	udp.Header{SrcPort: srcPort, DstPort: dstPort, Length: uint16(len(dg))}.Put(dg)
 	if h.UDPChecksum {
-		ck := inet.ChecksumPseudo(h.Addr, dst, inet.ProtoUDP, dg)
+		acc := inet.PseudoSum(h.Addr, dst, inet.ProtoUDP, len(dg)) + uint64(rest)
+		ck := ^inet.Fold(inet.Sum(acc, dg[:udp.HeaderLen+head]))
 		if ck == 0 {
 			ck = 0xffff
 		}
@@ -330,16 +377,23 @@ func (h *Host) transmitUDP(dst inet.Addr, dstPort, srcPort uint16, m *msg.Msg) {
 	h.transmitIP(dst, inet.ProtoUDP, m)
 }
 
-// SendEcho transmits one ICMP echo request with a payload of size bytes.
+// SendEcho transmits one ICMP echo request with a payload of size zero
+// bytes, which a new message already holds.
 func (h *Host) SendEcho(dst inet.Addr, id, seq uint16, size int) {
 	h.EchoSent++
-	h.sendICMP(dst, icmp.Echo{Type: icmp.TypeEchoRequest, ID: id, Seq: seq}, make([]byte, size))
+	h.transmitICMP(dst, icmp.Echo{Type: icmp.TypeEchoRequest, ID: id, Seq: seq}, msg.NewWithHeadroom(ipHeadroom, icmp.HeaderLen+size))
 }
 
 func (h *Host) sendICMP(dst inet.Addr, e icmp.Echo, payload []byte) {
 	m := msg.NewWithHeadroom(ipHeadroom, icmp.HeaderLen+len(payload))
+	copy(m.Bytes()[icmp.HeaderLen:], payload)
+	h.transmitICMP(dst, e, m)
+}
+
+// transmitICMP writes e in front of the echo payload m already holds (behind
+// icmp.HeaderLen bytes left for it) and sends the message.
+func (h *Host) transmitICMP(dst inet.Addr, e icmp.Echo, m *msg.Msg) {
 	body := m.Bytes()
-	copy(body[icmp.HeaderLen:], payload)
 	e.Put(body[:icmp.HeaderLen], body[icmp.HeaderLen:])
 	h.transmitIP(dst, inet.ProtoICMP, m)
 }

@@ -31,7 +31,7 @@ func TestHostUDPRoundTrip(t *testing.T) {
 	var got []byte
 	var from inet.Participants
 	b.OnUDP(9000, func(src inet.Participants, payload []byte) {
-		got, from = payload, src
+		got, from = append([]byte(nil), payload...), src // payload is the frame's
 	})
 	eng.At(0, func() { a.SendUDP(b.Addr, 9000, 9001, []byte("ping")) })
 	eng.RunFor(time.Second)

@@ -8,6 +8,7 @@ import (
 	"scout/internal/msg"
 	"scout/internal/proto/inet"
 	"scout/internal/proto/mflow"
+	"scout/internal/proto/udp"
 	"scout/internal/sim"
 )
 
@@ -76,6 +77,20 @@ type SourceConfig struct {
 type Prepared struct {
 	packets [][]byte
 	frameOf []int
+	// sums[i] is what packets[i] adds to the UDP checksum of any datagram
+	// that carries it. Its bytes never change, so they are summed here, once,
+	// and never again by the sender.
+	sums []uint16
+}
+
+// alfSum is the folded one's-complement sum of an ALF packet's bytes at the
+// parity they have behind a UDP and an MFLOW header.
+func alfSum(alf []byte) uint16 {
+	s := inet.Fold(inet.Sum(0, alf))
+	if (udp.HeaderLen+mflow.HeaderLen)%2 == 1 {
+		s = inet.SwapSum(s)
+	}
+	return s
 }
 
 // NumPackets reports the prepared stream's packet count.
@@ -96,7 +111,7 @@ func PrepareClip(clip mpeg.ClipSpec, payloadBudget int, seed int64) *Prepared {
 			size += mpeg.PacketHeaderLen + payload
 		})
 	}
-	p := &Prepared{packets: make([][]byte, 0, n), frameOf: make([]int, 0, n)}
+	p := &Prepared{packets: make([][]byte, 0, n), frameOf: make([]int, 0, n), sums: make([]uint16, 0, n)}
 	slab := make([]byte, size)
 	for fno, info := range trace {
 		mpeg.TraceLayout(uint32(fno), info, mbw, mbh, payloadBudget, func(hdr mpeg.Packet, payload int) {
@@ -104,6 +119,7 @@ func PrepareClip(clip mpeg.ClipSpec, payloadBudget int, seed int64) *Prepared {
 			hdr.PutHeader(slab)
 			p.packets = append(p.packets, slab[:end:end])
 			p.frameOf = append(p.frameOf, fno)
+			p.sums = append(p.sums, alfSum(slab[:mpeg.PacketHeaderLen])) // the payload is zeros
 			slab = slab[end:]
 		})
 	}
@@ -136,6 +152,7 @@ type Source struct {
 
 	packets [][]byte // marshalled ALF packets, in order
 	frameOf []int    // frame index of each packet
+	sums    []uint16 // alfSum of each packet
 	next    int
 	seq     uint32
 	win     uint32
@@ -214,7 +231,7 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 		prep = PrepareClip(clip, cfg.PayloadBudget, cfg.Seed)
 	}
 	if prep != nil {
-		s.packets, s.frameOf = prep.packets, prep.frameOf
+		s.packets, s.frameOf, s.sums = prep.packets, prep.frameOf, prep.sums
 	} else {
 		qs := cfg.QScale
 		if qs == 0 {
@@ -239,8 +256,10 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 		for fno := 0; fno < n; fno++ {
 			pkts, _ := enc.Encode(scene.Frame(fno))
 			for _, p := range pkts {
-				s.packets = append(s.packets, p.Marshal())
+				alf := p.Marshal()
+				s.packets = append(s.packets, alf)
 				s.frameOf = append(s.frameOf, fno)
+				s.sums = append(s.sums, alfSum(alf))
 			}
 		}
 	}
@@ -330,7 +349,10 @@ func (s *Source) RedispatchUnacked() { s.snd.Redispatch() }
 // sendPacket wraps one prepared ALF packet in an MFLOW data header (fresh
 // timestamp), asks the dispatch policy which subflow carries it, and ships
 // it to the Scout host. The MFLOW header and the ALF bytes go straight into
-// the message that reaches the wire. Returns the subflow used.
+// the message that reaches the wire, a buffer of the sending host's frame
+// pool while it has one; that copy is the only pass over the ALF bytes, whose
+// share of the UDP checksum was summed when the clip was prepared. Returns
+// the subflow used.
 func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
 	sub := 0
 	if s.Dispatch != nil {
@@ -339,16 +361,20 @@ func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
 	if sub < 0 || sub >= s.subflowCount() {
 		sub = 0
 	}
-	alf := s.packets[idx]
-	m := msg.NewWithHeadroom(udpHeadroom, mflow.HeaderLen+len(alf))
-	payload := m.Bytes()
-	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(s.h.eng.Now())}.Put(payload[:mflow.HeaderLen])
-	copy(payload[mflow.HeaderLen:], alf)
 	h, port := s.h, s.cfg.SrcPort
 	if len(s.subs) > 0 {
 		h, port = s.subs[sub].h, s.subs[sub].port
 	}
-	h.transmitUDP(s.dst, s.dstPort, port, m)
+	alf := s.packets[idx]
+	n := mflow.HeaderLen + len(alf)
+	m, err := h.frames.Get(n)
+	if err != nil { // pool at its limit, or a packet larger than its buffers
+		m = msg.NewWithHeadroom(udpHeadroom, n)
+	}
+	payload := m.Bytes()
+	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(s.h.eng.Now())}.Put(payload[:mflow.HeaderLen])
+	copy(payload[mflow.HeaderLen:], alf) // every byte: pool buffers come back dirty
+	h.transmitUDP(s.dst, s.dstPort, port, m, mflow.HeaderLen, s.sums[idx])
 	s.PacketsSent++
 	return sub
 }

@@ -29,18 +29,16 @@ type TraceFrame struct {
 	Complete bool
 }
 
-// Consume processes one packet header. It returns a non-nil frame when a
-// frame finished (completely, or flushed incomplete by a newer one).
-func (d *HeaderDecoder) Consume(p *Packet) (*TraceFrame, error) {
+// Consume processes one packet header. done reports that a frame finished
+// (completely, or flushed incomplete by a newer one) and out describes it.
+func (d *HeaderDecoder) Consume(p *Packet) (out TraceFrame, done bool, err error) {
 	d.PacketsIn++
 	if p.FrameNo < d.minNext {
-		return nil, ErrStale
+		return TraceFrame{}, false, ErrStale
 	}
-	var out *TraceFrame
 	if d.started && p.FrameNo != d.frameNo {
 		d.Incomplete++
-		f := d.finish(false)
-		out = &f
+		out, done = d.finish(false), true
 	}
 	if !d.started {
 		d.started = true
@@ -52,10 +50,9 @@ func (d *HeaderDecoder) Consume(p *Packet) (*TraceFrame, error) {
 	d.gotMB += int(p.MBCount)
 	d.bits += len(p.Data) * 8
 	if d.gotMB >= int(p.TotalMB) {
-		f := d.finish(true)
-		out = &f
+		out, done = d.finish(true), true
 	}
-	return out, nil
+	return out, done, nil
 }
 
 func (d *HeaderDecoder) finish(complete bool) TraceFrame {

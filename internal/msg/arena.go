@@ -12,7 +12,8 @@ import (
 // pairs for the whole burst up front, hands them out one FromBuffer at a
 // time, and returns the spares in bulk — the lifecycle of the views it hands
 // out is unchanged: they are freed by the normal Msg.Free, which recycles
-// them to the shared pools (not to the arena).
+// them to the shared pools or, with the buffer, to a pool that is a Recycler
+// (not to the arena).
 //
 // An arena is single-owner like every other data-path structure here; it
 // must not be shared across goroutines.

@@ -45,6 +45,42 @@ type Releaser interface {
 	Release(buf []byte)
 }
 
+// Recycler is a Releaser that also takes back what the freed message itself
+// was made of. A pool that files the shell on its free list beside the buffer
+// builds the next message over that buffer out of it, so a Get/Free cycle
+// allocates nothing on any run of any build. (The sync.Pools below promise
+// less: they empty at every collection, and under the race detector they
+// drop a quarter of what they are given, at random.)
+type Recycler interface {
+	Releaser
+	// Recycle is Release for a buffer whose message leaves s behind.
+	Recycle(buf []byte, s Shell)
+}
+
+// Shell is the view struct and refcount cell of a message whose last view
+// was freed. The zero Shell is empty.
+type Shell struct {
+	m    *Msg
+	refs *atomic.Int32
+}
+
+// FromBuffer is the package's FromBuffer with the message built out of s; an
+// empty shell allocates one, in one piece.
+//
+//scout:assert an out-of-range view is fbuf ownership corruption; continuing would alias foreign memory
+func (s Shell) FromBuffer(buf []byte, off, end int, pool Releaser) *Msg {
+	if off < 0 || end < off || end > len(buf) {
+		panic(fmt.Sprintf("msg: bad view [%d:%d) over %d bytes", off, end, len(buf)))
+	}
+	m, refs := s.m, s.refs
+	if m == nil {
+		m, refs = newViewRefs(false)
+	}
+	*m = Msg{buf: buf, off: off, end: end, refs: refs, pool: pool}
+	refs.Store(1)
+	return m
+}
+
 // Msg is a mutable view [off:end) onto a backing buffer. Clones and Split
 // results share the backing buffer; Free releases it to its pool when the
 // last view goes away.
@@ -128,11 +164,12 @@ func (m *Msg) LinkDst() (mac [6]byte, ok bool) {
 }
 
 // msgPool and refsPool recycle message views and their refcount cells for
-// pool-backed (fbuf) messages, whose lifecycle is explicit: the data path
-// cycles one view per packet, and without recycling those structs are the
-// last per-packet allocation left. Views over plain buffers (New,
-// NewWithHeadroom, FromBuffer with a nil pool) are not recycled — their
-// lifetime is not tied to a pool, so the GC owns them.
+// messages backed by a pool that is a plain Releaser, whose lifecycle is
+// explicit: the data path cycles one view per packet, and without recycling
+// those structs are the last per-packet allocation left. (A Recycler keeps
+// them itself.) Views over plain buffers (New, NewWithHeadroom, FromBuffer
+// with a nil pool) are not recycled — their lifetime is not tied to a pool,
+// so the GC owns them.
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 var refsPool = sync.Pool{New: func() any { return new(atomic.Int32) }}
 
@@ -145,10 +182,10 @@ func newView(pooled bool) *Msg {
 }
 
 // standalone packs a view and its refcount cell into one allocation for
-// messages the GC owns (no pool to recycle them into). The embedded cell
-// never enters refsPool: Free and detach return a cell to the free list
-// only when the message is pool-backed, and pool-backed cells always come
-// from refsPool.
+// messages the GC owns (no pool to recycle them into) and for the first
+// message over a Recycler's buffer (which keeps both from then on). The
+// embedded cell never enters refsPool: Free returns a cell to that list only
+// when the pool is a plain Releaser, and such cells always come from it.
 type standalone struct {
 	m    Msg
 	refs atomic.Int32
@@ -335,8 +372,9 @@ func (m *Msg) CopyIn(data []byte) error {
 // bug; Free is idempotent per view only in that double-free panics.
 //
 // Pool-backed views are recycled: when the final reference of an fbuf-backed
-// message goes, the view struct and refcount cell return to their free lists
-// along with the buffer, so the steady-state data path allocates nothing.
+// message goes, the view struct and refcount cell return to the pool with the
+// buffer (a Recycler) or to the package's free lists (a plain Releaser), so
+// the steady-state data path allocates nothing.
 //
 //scout:assert a double free means two owners of one fbuf; silent reuse would corrupt payloads
 func (m *Msg) Free() {
@@ -349,15 +387,20 @@ func (m *Msg) Free() {
 	m.Tag = nil
 	m.meta = 0
 	if refs.Add(-1) == 0 && pool != nil {
+		m.pool = nil
+		if r, ok := pool.(Recycler); ok {
+			r.Recycle(buf, Shell{m: m, refs: refs})
+			return
+		}
 		pool.Release(buf)
 		refsPool.Put(refs)
-		m.pool = nil
 		msgPool.Put(m)
 	}
 }
 
 // detach gives m a private reference after its buffer was reallocated,
-// returning the old buffer to its pool if m held the last reference to it.
+// returning the old buffer to its pool if m held the last reference to it
+// (the old cell is left to the collector: this is the copy path).
 func (m *Msg) detach(oldBuf []byte) {
 	oldRefs := m.refs
 	m.refs = new(atomic.Int32)
@@ -366,7 +409,6 @@ func (m *Msg) detach(oldBuf []byte) {
 	m.pool = nil
 	if oldRefs.Add(-1) == 0 && oldPool != nil {
 		oldPool.Release(oldBuf)
-		refsPool.Put(oldRefs)
 	}
 }
 

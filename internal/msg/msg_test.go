@@ -156,6 +156,51 @@ func TestFreeReturnsToPoolOnce(t *testing.T) {
 	}
 }
 
+// shellPool is a Recycler with a free list of one.
+type shellPool struct {
+	buf   []byte
+	shell Shell
+	n     int
+}
+
+func (p *shellPool) Release(buf []byte)          { p.Recycle(buf, Shell{}) }
+func (p *shellPool) Recycle(buf []byte, s Shell) { p.buf, p.shell, p.n = buf, s, p.n+1 }
+
+// TestRecyclerGetsTheShellBack: the last Free, of whichever view, hands a
+// Recycler the buffer and that view's struct and cell; the next message is
+// built out of them and allocates nothing; until then the freed view still
+// trips the double-free check.
+func TestRecyclerGetsTheShellBack(t *testing.T) {
+	p := &shellPool{}
+	m := Shell{}.FromBuffer(make([]byte, 128), 32, 96, p)
+	c := m.Clone()
+	m.Free()
+	if p.n != 0 {
+		t.Fatal("buffer recycled while a clone is alive")
+	}
+	c.Free()
+	if p.n != 1 || len(p.buf) != 128 || p.shell == (Shell{}) {
+		t.Fatalf("recycled %d times, %d bytes, shell %+v", p.n, len(p.buf), p.shell)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("double free of a recycled view did not panic")
+			}
+		}()
+		c.Free()
+	}()
+	if got := p.shell.FromBuffer(p.buf, 0, 10, p); got != c || got.Len() != 10 || got.Tag != nil {
+		t.Fatalf("the next message is %p %v, want the freed view %p made new", got, got, c)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Free()
+		c = p.shell.FromBuffer(p.buf, 32, 96, p)
+	}); allocs != 0 {
+		t.Fatalf("a Free and FromBuffer round a Recycler allocate %.0f objects", allocs)
+	}
+}
+
 func TestDoubleFreePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -68,7 +68,7 @@ const (
 
 // Checksum computes the Internet checksum (RFC 1071) over b.
 func Checksum(b []byte) uint16 {
-	return ^fold(sum(0, b))
+	return ^Fold(Sum(0, b))
 }
 
 // ChecksumPseudo computes the checksum of payload prefixed by the UDP/TCP
@@ -77,22 +77,35 @@ func Checksum(b []byte) uint16 {
 // prefixed copy of the payload — this runs once per checksummed packet on
 // the data path and must not allocate.
 func ChecksumPseudo(src, dst Addr, proto uint8, payload []byte) uint16 {
-	pseudo := uint64(src[0])<<8 | uint64(src[1])
-	pseudo += uint64(src[2])<<8 | uint64(src[3])
-	pseudo += uint64(dst[0])<<8 | uint64(dst[1])
-	pseudo += uint64(dst[2])<<8 | uint64(dst[3])
-	pseudo += uint64(proto) // zero byte then proto, as on the wire
-	pseudo += uint64(uint16(len(payload)))
-	return ^fold(sum(pseudo, payload))
+	return ^Fold(Sum(PseudoSum(src, dst, proto, len(payload)), payload))
 }
 
-// sum adds the 16-bit big-endian words of b (an odd last byte padded with a
+// PseudoSum is the one's-complement sum of the UDP/TCP pseudo-header for a
+// segment of length bytes: the accumulator to hand Sum.
+func PseudoSum(src, dst Addr, proto uint8, length int) uint64 {
+	acc := uint64(src[0])<<8 | uint64(src[1])
+	acc += uint64(src[2])<<8 | uint64(src[3])
+	acc += uint64(dst[0])<<8 | uint64(dst[1])
+	acc += uint64(dst[2])<<8 | uint64(dst[3])
+	acc += uint64(proto) // zero byte then proto, as on the wire
+	return acc + uint64(uint16(length))
+}
+
+// Sum, Fold and SwapSum are the pieces a checksum is composed from when its
+// bytes are not summed in one pass: ^Fold(Sum(Sum(acc, head), tail)) is the
+// checksum of head‖tail when len(head) is even, and a part's folded sum can
+// be kept and added into a later accumulator (a uint16 widened to uint64)
+// instead of re-reading its bytes. A part that starts at an odd offset of the
+// whole has its bytes in the opposite halves of their words: SwapSum of its
+// sum is its contribution (RFC 1071 §2(B)).
+//
+// Sum adds the 16-bit big-endian words of b (an odd last byte padded with a
 // zero) to the one's-complement accumulator acc, eight bytes per step. A
 // 64-bit big-endian load is four such words side by side, and since
 // 2^16 ≡ 1 (mod 2^16−1) adding whole loads with end-around carry and folding
 // the halves together at the end gives the same sum as adding the words one
 // by one (RFC 1071 §2).
-func sum(acc uint64, b []byte) uint64 {
+func Sum(acc uint64, b []byte) uint64 {
 	var carry uint64
 	for len(b) >= 8 {
 		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
@@ -107,14 +120,18 @@ func sum(acc uint64, b []byte) uint64 {
 	return acc + carry
 }
 
-// fold reduces a one's-complement accumulator to 16 bits.
-func fold(acc uint64) uint16 {
+// Fold reduces a one's-complement accumulator to 16 bits; the checksum is
+// its complement.
+func Fold(acc uint64) uint16 {
 	acc = acc>>48 + acc>>32&0xffff + acc>>16&0xffff + acc&0xffff
 	for acc>>16 != 0 {
 		acc = acc>>16 + acc&0xffff
 	}
 	return uint16(acc)
 }
+
+// SwapSum moves a folded sum to the other byte parity.
+func SwapSum(s uint16) uint16 { return bits.ReverseBytes16(s) }
 
 // Attribute names used by the networking routers beyond the paper-named
 // ones; declared in the central vocabulary (package attr) and re-exported

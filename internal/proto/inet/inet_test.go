@@ -162,3 +162,53 @@ func FuzzChecksum(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, b []byte) { checkAgainstOracle(t, b) })
 }
+
+// checkSplit cuts b at cut and composes the checksum the way a sender with a
+// stored tail sum does: pseudo-header + head bytes + the tail's folded sum at
+// the parity of the cut. The result must be ChecksumPseudo over the whole.
+func checkSplit(t *testing.T, b []byte, cut int) {
+	t.Helper()
+	src, dst := IP(10, 0, 0, 1), IP(255, 255, 255, 255)
+	tail := Fold(Sum(0, b[cut:]))
+	if cut%2 == 1 {
+		tail = SwapSum(tail)
+	}
+	got := ^Fold(Sum(PseudoSum(src, dst, ProtoUDP, len(b))+uint64(tail), b[:cut]))
+	if want := ChecksumPseudo(src, dst, ProtoUDP, b); got != want {
+		t.Fatalf("%d bytes cut at %d: head + stored tail = %#04x, one pass says %#04x", len(b), cut, got, want)
+	}
+}
+
+// videoCut is where a video packet's stored sum starts: behind the UDP and
+// MFLOW headers (8 + 17 bytes), an odd offset.
+const videoCut = 25
+
+// TestChecksumSplitAtEveryCut walks every cut (odd and even, both halves
+// empty) of short and MTU-sized datagrams in the corpus's three fills.
+func TestChecksumSplitAtEveryCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, 2, 7, 8, 9, videoCut, videoCut + 1, 100, 1472} {
+		random := make([]byte, n)
+		rng.Read(random)
+		for _, b := range [][]byte{make([]byte, n), bytes.Repeat([]byte{0xff}, n), random} {
+			for cut := 0; cut <= n; cut++ {
+				checkSplit(t, b, cut)
+			}
+		}
+	}
+}
+
+func FuzzChecksumSplit(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x80}, uint16(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 1472), uint16(videoCut))
+	f.Add(bytes.Repeat([]byte{0xff}, 1472), uint16(1472))
+	f.Add(append(make([]byte, videoCut), 0x49, 0x01, 0x04, 0x03), uint16(videoCut))
+	f.Add([]byte("an even cut in the middle"), uint16(8))
+	f.Fuzz(func(t *testing.T, b []byte, cut uint16) {
+		if len(b) > 0xffff {
+			b = b[:0xffff] // the pseudo-header's length field is 16 bits
+		}
+		checkSplit(t, b, int(cut)%(len(b)+1))
+	})
+}

@@ -175,13 +175,13 @@ func (sd *mpegStage) input(i *core.NetIface, m *msg.Msg) error {
 
 	var done *display.Frame
 	if sd.costOnly {
-		tf, err := sd.hdrDec.Consume(pkt)
+		tf, ok, err := sd.hdrDec.Consume(pkt)
 		if err != nil {
 			sd.Errors++
 			m.Free()
 			return err
 		}
-		if tf != nil {
+		if ok {
 			if tf.Complete {
 				sd.noteComplete(tf.Kind)
 			}

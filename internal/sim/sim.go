@@ -89,6 +89,7 @@ type Engine struct {
 	stopped bool
 	ran     uint64   // events executed, for wall-clock rate accounting
 	free    []*Event // fired Schedule entries awaiting reuse
+	locals  map[any]any
 
 	// Set when the engine is one shard of a Cluster: the shard may then only
 	// be driven through the cluster's windowed run loop.
@@ -108,6 +109,24 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
+
+// Local returns the engine's value for key, which mk makes the first time it
+// is asked for. It is how a package keeps state with the lifetime of one
+// simulated world: never shared between engines, and dropped with the engine
+// however the world ends, which a package-level variable or a registry of
+// engines is not. Use a key type of your own, look the value up at set-up
+// and keep it; this is not for the data path.
+func (e *Engine) Local(key any, mk func() any) any {
+	v, ok := e.locals[key]
+	if !ok {
+		if e.locals == nil {
+			e.locals = make(map[any]any)
+		}
+		v = mk()
+		e.locals[key] = v
+	}
+	return v
+}
 
 // Seed reports the seed the engine was created with, so subsystems can
 // derive decorrelated per-object random streams from it.

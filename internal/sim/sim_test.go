@@ -564,3 +564,22 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		e.Step()
 	}
 }
+
+// TestLocalIsPerEngineAndMadeOnce: a key's value is made on first use, kept
+// for the engine's life, and never seen by another engine.
+func TestLocalIsPerEngineAndMadeOnce(t *testing.T) {
+	type key struct{}
+	made := 0
+	mk := func() any { made++; return new(int) }
+	a, b := New(1), New(1)
+	v := a.Local(key{}, mk)
+	if a.Local(key{}, mk) != v || made != 1 {
+		t.Fatalf("second lookup made a new value (%d made)", made)
+	}
+	if b.Local(key{}, mk) == v || made != 2 {
+		t.Fatalf("engines share a value (%d made)", made)
+	}
+	if a.Local(struct{ other int }{}, mk) == v {
+		t.Fatal("keys share a value")
+	}
+}
