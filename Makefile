@@ -23,8 +23,11 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The checksum kernel is also tested on a 32-bit target, which the amd64
+# toolchain runs natively: it must give the same bits there.
 test:
 	$(GO) test ./...
+	GOARCH=386 $(GO) test ./internal/proto/inet
 
 race:
 	$(GO) test -race ./...
@@ -67,10 +70,11 @@ benchdiff:
 	$(GO) run ./cmd/benchjson -base $(BENCHBASE) -new $(BENCHOUT)
 
 # benchsmoke is the CI-fast subset: one iteration of the wall-clock micro
-# benchmarks (E1–E3 + cold miss) to prove they still run; timings at
-# -benchtime=1x are indicative only.
+# benchmarks (E1–E3 + cold miss, and the checksum kernel) to prove they still
+# run; timings at -benchtime=1x are indicative only.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE1|BenchmarkE2|BenchmarkE3' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkSum -benchmem -benchtime 1x ./internal/proto/inet
 
 # gates is the determinism gate, in one process: every experiment in
 # internal/exp's registry runs twice at CI size and must print the same bytes

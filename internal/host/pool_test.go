@@ -1,7 +1,9 @@
 package host
 
 import (
+	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -30,17 +32,30 @@ var poolClip = mpeg.ClipSpec{
 // TestStoredSumsMatchFullChecksum sends a prepared clip and a really encoded
 // one and recomputes, over all of its bytes, the UDP checksum of every
 // datagram that reaches the wire: the stored tail sums the sender folded in
-// must have produced exactly that.
+// must have produced exactly that. Each datagram must also carry its packet's
+// head and then its zeros, whether its frame came fresh or dirty from the
+// pool (buffers come back poisoned) or from the collector once the pool ran
+// out at maximum rate.
 func TestStoredSumsMatchFullChecksum(t *testing.T) {
+	var reused, fallback int64
 	for _, tc := range []struct {
-		name string
-		cfg  SourceConfig
+		name  string
+		paced bool
+		cfg   SourceConfig
 	}{
-		{"prepared", SourceConfig{Prepared: PrepareClip(poolClip, 0, 3)}},
-		{"odd payloads", SourceConfig{Clip: poolClip, CostOnly: true, PayloadBudget: 41, Seed: 3}},
-		{"real encoder", SourceConfig{Clip: poolClip, RealFrames: 4}},
+		{"prepared", false, SourceConfig{Prepared: PrepareClip(poolClip, 0, 3)}},
+		{"prepared, paced", true, SourceConfig{Prepared: PrepareClip(poolClip, 0, 3), FPS: 30}},
+		{"odd payloads", false, SourceConfig{Clip: poolClip, CostOnly: true, PayloadBudget: 41, Seed: 3}},
+		{"real encoder", false, SourceConfig{Clip: poolClip, RealFrames: 4}},
 	} {
 		eng, a, b := twoHosts(t)
+		pool := usePoisonPool(a)
+		cfg := tc.cfg
+		cfg.SrcPort, cfg.MaxRate, cfg.InitialWindow = 7000, !tc.paced, 1<<20
+		s, err := NewSource(a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		checked := 0
 		recv := b.Dev.OnReceive
 		b.Dev.OnReceive = func(m *msg.Msg) {
@@ -55,21 +70,46 @@ func TestStoredSumsMatchFullChecksum(t *testing.T) {
 				if sent != want {
 					t.Errorf("%s: datagram %d left with checksum %#04x, its bytes sum to %#04x", tc.name, checked, sent, want)
 				}
+				mh, err := mflow.Parse(dg[udp.HeaderLen:])
+				if err != nil {
+					t.Fatalf("%s: datagram %d: %v", tc.name, checked, err)
+				}
+				p := s.packets[mh.Seq-1]
+				alf := dg[udp.HeaderLen+mflow.HeaderLen:]
+				if len(alf) != len(p.head)+p.zeros || !bytes.Equal(alf[:len(p.head)], p.head) || !bytes.Equal(alf[len(p.head):], make([]byte, p.zeros)) {
+					t.Errorf("%s: packet %d's %d ALF bytes are not its %d-byte head and %d zeros", tc.name, mh.Seq, len(alf), len(p.head), p.zeros)
+				}
 				checked++
 			}
 			recv(m)
-		}
-		cfg := tc.cfg
-		cfg.SrcPort, cfg.MaxRate, cfg.InitialWindow = 7000, true, 1<<20
-		s, err := NewSource(a, cfg)
-		if err != nil {
-			t.Fatal(err)
 		}
 		s.Start(b.Addr, 8000)
 		eng.RunFor(10 * time.Second)
 		if checked != s.NumPackets() || checked == 0 {
 			t.Fatalf("%s: checked %d datagrams of %d", tc.name, checked, s.NumPackets())
 		}
+		st := pool.inner.Stats()
+		reused += st.Hits
+		fallback += st.Exhausted
+	}
+	if reused == 0 || fallback == 0 {
+		t.Fatalf("%d datagrams left in a reused frame and %d in a GC-owned one, want some of each", reused, fallback)
+	}
+}
+
+// TestPrepareClipHoldsHeadersOnly: a prepared clip is headers plus lengths,
+// so preparing the paper's four clips allocates a small fraction of their
+// 20 MB of payload.
+func TestPrepareClipHoldsHeadersOnly(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := 0
+	for _, c := range mpeg.Clips {
+		n += PrepareClip(c, 0, 11).NumPackets()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("preparing %d clips (%d packets) allocated %d bytes, want < 2 MB", len(mpeg.Clips), n, got)
 	}
 }
 
@@ -116,11 +156,11 @@ func (p *poisonPool) Release(buf []byte) {
 
 // sendStaleFragments sends MFLOW data packet seq 1 again as two IP fragments,
 // last first, so the kernel's reassembly runs beside the pooled frames.
-func sendStaleFragments(h *Host, dst inet.Addr, dstPort, srcPort uint16, alf []byte) {
-	dg := make([]byte, udp.HeaderLen+mflow.HeaderLen+len(alf))
+func sendStaleFragments(h *Host, dst inet.Addr, dstPort, srcPort uint16, alf alfPacket) {
+	dg := make([]byte, udp.HeaderLen+mflow.HeaderLen+len(alf.head)+alf.zeros)
 	udp.Header{SrcPort: srcPort, DstPort: dstPort, Length: uint16(len(dg))}.Put(dg)
 	mflow.Header{Kind: mflow.KindData, Seq: 1}.Put(dg[udp.HeaderLen:])
-	copy(dg[udp.HeaderLen+mflow.HeaderLen:], alf)
+	copy(dg[udp.HeaderLen+mflow.HeaderLen:], alf.head)
 	binary.BigEndian.PutUint16(dg[6:8], inet.ChecksumPseudo(h.Addr, dst, inet.ProtoUDP, dg))
 	const cut = 16 // fragment offsets are multiples of 8
 	for _, f := range []struct {

@@ -66,61 +66,61 @@ type SourceConfig struct {
 
 	// Prepared, when set, supplies the packet stream directly and skips
 	// preparation; Clip/CostOnly/PayloadBudget/Seed are ignored. The scale
-	// experiments share one PrepareClip result across 10^5 sources — the
-	// templates are immutable (sendPacket copies them into each outgoing
-	// message), so sharing is safe even across cluster shards.
+	// experiments share one PrepareClip result across 10^5 sources: nothing
+	// writes to a Prepared once it is built, so sharing is safe even across
+	// cluster shards.
 	Prepared *Prepared
 }
 
-// Prepared is a clip's marshalled ALF packet stream, built once and shared
-// by any number of sources.
+// Prepared is a clip's ALF packet stream, built once and shared by any number
+// of sources.
 type Prepared struct {
-	packets [][]byte
-	frameOf []int
-	// sums[i] is what packets[i] adds to the UDP checksum of any datagram
-	// that carries it. Its bytes never change, so they are summed here, once,
-	// and never again by the sender.
-	sums []uint16
+	packets []alfPacket
 }
 
-// alfSum is the folded one's-complement sum of an ALF packet's bytes at the
-// parity they have behind a UDP and an MFLOW header.
-func alfSum(alf []byte) uint16 {
-	s := inet.Fold(inet.Sum(0, alf))
+// alfPacket is one ALF packet of a stream: the bytes head followed by zeros
+// zero bytes. A really encoded packet is all head; a cost-model packet is its
+// header and the length of its synthetic payload, which is all zeros.
+type alfPacket struct {
+	head  []byte
+	zeros int
+	frame int // index of the frame the packet belongs to
+	// sum is what the packet adds to the UDP checksum of any datagram that
+	// carries it, at the parity its bytes have behind a UDP and an MFLOW
+	// header. Its bytes never change, so they are summed once, when the
+	// packet is built, and never again by the sender; zeros add nothing.
+	sum uint16
+}
+
+func newALFPacket(head []byte, zeros, frame int) alfPacket {
+	s := inet.Fold(inet.Sum(0, head))
 	if (udp.HeaderLen+mflow.HeaderLen)%2 == 1 {
 		s = inet.SwapSum(s)
 	}
-	return s
+	return alfPacket{head: head, zeros: zeros, frame: frame, sum: s}
 }
 
 // NumPackets reports the prepared stream's packet count.
 func (p *Prepared) NumPackets() int { return len(p.packets) }
 
 // PrepareClip builds the cost-model packet stream for clip exactly as a
-// CostOnly NewSource would.
-//
-// The whole stream lives in one zeroed slab: the synthetic payloads are all
-// zero bytes, so only the 15-byte ALF headers are ever written.
+// CostOnly NewSource would. It keeps each packet's 15-byte ALF header and the
+// length of its payload, never the payload itself.
 func PrepareClip(clip mpeg.ClipSpec, payloadBudget int, seed int64) *Prepared {
 	mbw, mbh := clip.W/16, clip.H/16
 	trace := clip.Trace(seed)
-	n, size := 0, 0
+	n := 0
 	for fno, info := range trace {
-		mpeg.TraceLayout(uint32(fno), info, mbw, mbh, payloadBudget, func(_ mpeg.Packet, payload int) {
-			n++
-			size += mpeg.PacketHeaderLen + payload
-		})
+		mpeg.TraceLayout(uint32(fno), info, mbw, mbh, payloadBudget, func(mpeg.Packet, int) { n++ })
 	}
-	p := &Prepared{packets: make([][]byte, 0, n), frameOf: make([]int, 0, n), sums: make([]uint16, 0, n)}
-	slab := make([]byte, size)
+	p := &Prepared{packets: make([]alfPacket, 0, n)}
+	heads := make([]byte, n*mpeg.PacketHeaderLen)
 	for fno, info := range trace {
 		mpeg.TraceLayout(uint32(fno), info, mbw, mbh, payloadBudget, func(hdr mpeg.Packet, payload int) {
-			end := mpeg.PacketHeaderLen + payload
-			hdr.PutHeader(slab)
-			p.packets = append(p.packets, slab[:end:end])
-			p.frameOf = append(p.frameOf, fno)
-			p.sums = append(p.sums, alfSum(slab[:mpeg.PacketHeaderLen])) // the payload is zeros
-			slab = slab[end:]
+			head := heads[:mpeg.PacketHeaderLen:mpeg.PacketHeaderLen]
+			hdr.PutHeader(head)
+			p.packets = append(p.packets, newALFPacket(head, payload, fno))
+			heads = heads[mpeg.PacketHeaderLen:]
 		})
 	}
 	return p
@@ -150,9 +150,7 @@ type Source struct {
 	dst     inet.Addr
 	dstPort uint16
 
-	packets [][]byte // marshalled ALF packets, in order
-	frameOf []int    // frame index of each packet
-	sums    []uint16 // alfSum of each packet
+	packets []alfPacket // in order
 	next    int
 	seq     uint32
 	win     uint32
@@ -231,7 +229,7 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 		prep = PrepareClip(clip, cfg.PayloadBudget, cfg.Seed)
 	}
 	if prep != nil {
-		s.packets, s.frameOf, s.sums = prep.packets, prep.frameOf, prep.sums
+		s.packets = prep.packets
 	} else {
 		qs := cfg.QScale
 		if qs == 0 {
@@ -256,10 +254,7 @@ func NewSource(h *Host, cfg SourceConfig) (*Source, error) {
 		for fno := 0; fno < n; fno++ {
 			pkts, _ := enc.Encode(scene.Frame(fno))
 			for _, p := range pkts {
-				alf := p.Marshal()
-				s.packets = append(s.packets, alf)
-				s.frameOf = append(s.frameOf, fno)
-				s.sums = append(s.sums, alfSum(alf))
+				s.packets = append(s.packets, newALFPacket(p.Marshal(), 0, fno))
 			}
 		}
 	}
@@ -271,10 +266,10 @@ func (s *Source) NumPackets() int { return len(s.packets) }
 
 // NumFrames reports how many frames the prepared stream has.
 func (s *Source) NumFrames() int {
-	if len(s.frameOf) == 0 {
+	if len(s.packets) == 0 {
 		return 0
 	}
-	return s.frameOf[len(s.frameOf)-1] + 1
+	return s.packets[len(s.packets)-1].frame + 1
 }
 
 // Done reports whether every packet has been sent, and when.
@@ -350,9 +345,9 @@ func (s *Source) RedispatchUnacked() { s.snd.Redispatch() }
 // timestamp), asks the dispatch policy which subflow carries it, and ships
 // it to the Scout host. The MFLOW header and the ALF bytes go straight into
 // the message that reaches the wire, a buffer of the sending host's frame
-// pool while it has one; that copy is the only pass over the ALF bytes, whose
-// share of the UDP checksum was summed when the clip was prepared. Returns
-// the subflow used.
+// pool while it has one: the packet's head is copied and its zeros are
+// cleared, the only pass over the ALF bytes, whose share of the UDP checksum
+// was summed when the clip was prepared. Returns the subflow used.
 func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
 	sub := 0
 	if s.Dispatch != nil {
@@ -365,16 +360,17 @@ func (s *Source) sendPacket(seq uint32, idx int, retx bool) int {
 	if len(s.subs) > 0 {
 		h, port = s.subs[sub].h, s.subs[sub].port
 	}
-	alf := s.packets[idx]
-	n := mflow.HeaderLen + len(alf)
+	p := &s.packets[idx]
+	n := mflow.HeaderLen + len(p.head) + p.zeros
 	m, err := h.frames.Get(n)
 	if err != nil { // pool at its limit, or a packet larger than its buffers
 		m = msg.NewWithHeadroom(udpHeadroom, n)
 	}
 	payload := m.Bytes()
 	mflow.Header{Kind: mflow.KindData, Seq: seq, TS: int64(s.h.eng.Now())}.Put(payload[:mflow.HeaderLen])
-	copy(payload[mflow.HeaderLen:], alf) // every byte: pool buffers come back dirty
-	h.transmitUDP(s.dst, s.dstPort, port, m, mflow.HeaderLen, s.sums[idx])
+	alf := payload[mflow.HeaderLen:]
+	clear(alf[copy(alf, p.head):]) // pool buffers come back dirty
+	h.transmitUDP(s.dst, s.dstPort, port, m, mflow.HeaderLen, p.sum)
 	s.PacketsSent++
 	return sub
 }
@@ -390,7 +386,7 @@ func (s *Source) trySend() {
 	}
 	for s.next < len(s.packets) && (s.cfg.Live || s.seq+1 <= s.win) {
 		if !s.cfg.MaxRate {
-			due := s.started.Add(time.Duration(s.frameOf[s.next]) * time.Second / time.Duration(fps))
+			due := s.started.Add(time.Duration(s.packets[s.next].frame) * time.Second / time.Duration(fps))
 			now := s.h.eng.Now()
 			if now < due {
 				s.h.eng.Rearm(&s.waitTick, due, s.trySendFn)

@@ -100,23 +100,48 @@ func PseudoSum(src, dst Addr, proto uint8, length int) uint64 {
 // sum is its contribution (RFC 1071 §2(B)).
 //
 // Sum adds the 16-bit big-endian words of b (an odd last byte padded with a
-// zero) to the one's-complement accumulator acc, eight bytes per step. A
-// 64-bit big-endian load is four such words side by side, and since
-// 2^16 ≡ 1 (mod 2^16−1) adding whole loads with end-around carry and folding
-// the halves together at the end gives the same sum as adding the words one
-// by one (RFC 1071 §2).
+// zero) to the one's-complement accumulator acc, 32 bytes per step. Since
+// 2^16 ≡ 1 (mod 2^16−1), a 32-bit load is two words whose sum survives
+// folding, and the sum of b's words taken little-endian is the byte swap of
+// their big-endian sum (RFC 1071 §2(B)). So Sum adds little-endian 32-bit
+// loads into four independent 64-bit accumulators with no carry chain
+// between them (RFC 1071 §2(C)), folds their total once, and swaps the bytes
+// of that (SwapSum). There is one load per 4 bytes and each is below 2^32, so
+// the total cannot overflow before b is 16 GiB long. The result folds to 0
+// exactly when acc and every byte of b are 0.
 func Sum(acc uint64, b []byte) uint64 {
-	var carry uint64
-	for len(b) >= 8 {
-		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(b), carry)
+	var s0, s1, s2, s3 uint64
+	for len(b) >= 32 {
+		s0 += uint64(binary.LittleEndian.Uint32(b[0:4])) + uint64(binary.LittleEndian.Uint32(b[16:20]))
+		s1 += uint64(binary.LittleEndian.Uint32(b[4:8])) + uint64(binary.LittleEndian.Uint32(b[20:24]))
+		s2 += uint64(binary.LittleEndian.Uint32(b[8:12])) + uint64(binary.LittleEndian.Uint32(b[24:28]))
+		s3 += uint64(binary.LittleEndian.Uint32(b[12:16])) + uint64(binary.LittleEndian.Uint32(b[28:32]))
+		b = b[32:]
+	}
+	if len(b) >= 16 {
+		s0 += uint64(binary.LittleEndian.Uint32(b[0:4]))
+		s1 += uint64(binary.LittleEndian.Uint32(b[4:8]))
+		s2 += uint64(binary.LittleEndian.Uint32(b[8:12]))
+		s3 += uint64(binary.LittleEndian.Uint32(b[12:16]))
+		b = b[16:]
+	}
+	if len(b) >= 8 {
+		s0 += uint64(binary.LittleEndian.Uint32(b[0:4]))
+		s1 += uint64(binary.LittleEndian.Uint32(b[4:8]))
 		b = b[8:]
 	}
-	if len(b) > 0 {
-		var tail [8]byte
-		copy(tail[:], b)
-		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(tail[:]), carry)
+	if len(b) >= 4 {
+		s2 += uint64(binary.LittleEndian.Uint32(b[0:4]))
+		b = b[4:]
 	}
-	acc, carry = bits.Add64(acc, 0, carry)
+	if len(b) >= 2 {
+		s3 += uint64(binary.LittleEndian.Uint16(b[0:2]))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		s0 += uint64(b[0]) // the high byte of a big-endian word: the low one here
+	}
+	acc, carry := bits.Add64(acc, uint64(SwapSum(Fold(s0+s1+s2+s3))), 0)
 	return acc + carry
 }
 

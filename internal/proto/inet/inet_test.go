@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -99,20 +100,30 @@ func TestPropertyChecksumSelfVerifies(t *testing.T) {
 }
 
 // checksum16 and checksumPseudo16 are the textbook word-at-a-time Internet
-// checksum: the oracle the eight-bytes-per-step implementation must match bit
+// checksum: the oracle the 32-bytes-per-step implementation must match bit
 // for bit.
 func checksum16(sum uint32, b []byte) uint16 {
+	return ^fold16(uint64(sum), b)
+}
+
+// fold16 adds b's big-endian words to acc one at a time, folding at the end:
+// 0 only when acc and every byte are 0, as Fold(Sum(acc, b)) must be. acc is
+// folded first so that no add can overflow.
+func fold16(acc uint64, b []byte) uint16 {
+	for acc>>16 != 0 {
+		acc = acc&0xffff + acc>>16
+	}
 	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+		acc += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		acc += uint64(b[0]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+	for acc>>16 != 0 {
+		acc = acc&0xffff + acc>>16
 	}
-	return ^uint16(sum)
+	return uint16(acc)
 }
 
 func checksumPseudo16(src, dst Addr, proto uint8, payload []byte) uint16 {
@@ -126,6 +137,12 @@ func checksumPseudo16(src, dst Addr, proto uint8, payload []byte) uint16 {
 	return checksum16(sum, payload)
 }
 
+// oracleAccs are the accumulators Sum is started from: none, an all-ones
+// word, the largest pseudo-header (every address byte, the protocol and the
+// length all ones), one far above 16 bits and one that any add carries out
+// of.
+var oracleAccs = []uint64{0, 0xffff, PseudoSum(IP(255, 255, 255, 255), IP(255, 255, 255, 255), 0xff, 0xffff), 1 << 40, ^uint64(0)}
+
 func checkAgainstOracle(t *testing.T, b []byte) {
 	t.Helper()
 	if got, want := Checksum(b), checksum16(0, b); got != want {
@@ -135,6 +152,18 @@ func checkAgainstOracle(t *testing.T, b []byte) {
 	if got, want := ChecksumPseudo(src, dst, ProtoUDP, b), checksumPseudo16(src, dst, ProtoUDP, b); got != want {
 		t.Fatalf("ChecksumPseudo over %d bytes = %#04x, word-at-a-time oracle says %#04x", len(b), got, want)
 	}
+	for _, acc := range oracleAccs {
+		if got, want := Fold(Sum(acc, b)), fold16(acc, b); got != want {
+			t.Fatalf("Fold(Sum(%#x, %d bytes)) = %#04x, word-at-a-time oracle says %#04x", acc, len(b), got, want)
+		}
+	}
+}
+
+// unaligned copies b to off bytes into a larger buffer whose other bytes are
+// not zero, so a kernel that read outside its slice could not match.
+func unaligned(b []byte, off int) []byte {
+	buf := bytes.Repeat([]byte{0x5a}, off+len(b)+8)
+	return buf[off : off+copy(buf[off:], b)]
 }
 
 // checksumCorpus is every length a frame can have (odd ones included) in
@@ -150,18 +179,52 @@ func checksumCorpus(visit func([]byte)) {
 	}
 }
 
+// TestChecksumMatchesWordOracle walks the corpus at every start offset 0-7,
+// then spot-checks long datagrams up to the 65 535 bytes a 16-bit length
+// field allows.
 func TestChecksumMatchesWordOracle(t *testing.T) {
-	checksumCorpus(func(b []byte) { checkAgainstOracle(t, b) })
+	checksumCorpus(func(b []byte) {
+		for off := 0; off < 8; off++ {
+			checkAgainstOracle(t, unaligned(b, off))
+		}
+	})
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{4095, 4096, 9001, 32768, 65534, 65535} {
+		random := make([]byte, n)
+		rng.Read(random)
+		for _, b := range [][]byte{make([]byte, n), bytes.Repeat([]byte{0xff}, n), random} {
+			checkAgainstOracle(t, unaligned(b, n%8))
+		}
+	}
 }
 
 func FuzzChecksum(f *testing.F) {
 	checksumCorpus(func(b []byte) {
 		if len(b)%97 == 0 { // a spread of lengths; the test above walks them all
-			f.Add(b)
+			f.Add(b, uint8(len(b)/97))
 		}
 	})
-	f.Fuzz(func(t *testing.T, b []byte) { checkAgainstOracle(t, b) })
+	f.Fuzz(func(t *testing.T, b []byte, off uint8) { checkAgainstOracle(t, unaligned(b, int(off%8))) })
 }
+
+// BenchmarkSum times the kernel over an IP header (20), an rx_* datagram
+// (26), a short packet (64) and an MTU-sized UDP payload (1472).
+func BenchmarkSum(b *testing.B) {
+	for _, n := range []int{20, 26, 64, 1472} {
+		buf := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(buf)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			var acc uint64
+			for b.Loop() {
+				acc = Sum(acc, buf)
+			}
+			sink = acc
+		})
+	}
+}
+
+var sink uint64
 
 // checkSplit cuts b at cut and composes the checksum the way a sender with a
 // stored tail sum does: pseudo-header + head bytes + the tail's folded sum at
