@@ -43,10 +43,12 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 10s "$${file%/*}"; \
 	done
 
-# lint runs the full 12-analyzer suite with per-analyzer wall time on
-# stderr, so a slow analyzer is visible the day it regresses.
+# lint runs the full suite, one analyzer per invariant, with per-analyzer
+# wall time on stderr, so a slow analyzer is visible the day it regresses.
+# -why prints each finding's root-to-finding chain, so a failing run needs
+# no second run to explain itself.
 lint:
-	$(GO) run ./cmd/scoutlint -timing ./...
+	$(GO) run ./cmd/scoutlint -timing -why ./...
 
 # lintgraph dumps the data-path call graph (roots + resolved edges) in its
 # stable text form; CI uploads it as an artifact so reviewers can diff how

@@ -1,45 +1,52 @@
 // Command scoutlint runs the repo's static-analysis suite (internal/lint):
-// analyzers that machine-check the path invariants the paper establishes at
-// path-creation time — virtual-clock determinism, the typed attr.Name
-// vocabulary, data-path error discipline, lock/callback hygiene, and no
-// silently dropped errors.
+// one analyzer per path invariant the paper establishes at path-creation
+// time — virtual-clock determinism, the typed attr.Name vocabulary,
+// data-path error discipline, lock/callback hygiene, and no silently dropped
+// errors.
 //
 // Usage:
 //
-//	go run ./cmd/scoutlint ./...
+//	go run ./cmd/scoutlint [flags] [./...]
 //
-// Findings print as "file:line: [rule] message" and make the exit status
-// nonzero; -why adds the data-path call chain that makes an interprocedural
-// finding reachable. Suppressions live in .scoutlint-allow at the module
-// root; stale suppressions (matching nothing) and entries naming unknown
-// rules are themselves errors so the file stays an honest record. -graph
-// dumps the shared data-path call graph in a stable text form.
+// It always analyzes the whole module; ./... is the only package pattern it
+// accepts. Findings print as "file:line: [rule] message" and make the exit
+// status nonzero; -why adds the data-path call chain that makes a finding
+// reachable. There is no suppression file: an exception is a //scout: marker
+// in the code it excuses. -graph dumps the shared data-path call graph in a
+// stable text form.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"scout/internal/lint"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("scoutlint", flag.ContinueOnError)
 	var (
-		allowFlag  = flag.String("allow", "", "allowlist file (default <module root>/.scoutlint-allow)")
-		rulesFlag  = flag.String("rules", "", "comma-separated analyzer subset (default: all)")
-		listFlag   = flag.Bool("list", false, "list analyzers and exit")
-		whyFlag    = flag.Bool("why", false, "print the data-path call chain under each interprocedural finding")
-		graphFlag  = flag.String("graph", "", "dump the data-path call graph to the given file ('-' for stdout) and exit")
-		timingFlag = flag.Bool("timing", false, "print per-analyzer wall time")
+		listFlag   = fs.Bool("list", false, "list analyzers and exit")
+		whyFlag    = fs.Bool("why", false, "print the data-path call chain under each finding that has one")
+		graphFlag  = fs.String("graph", "", "dump the data-path call graph to the given file ('-' for stdout) and exit")
+		timingFlag = fs.Bool("timing", false, "print per-analyzer wall time")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() > 1 || (fs.NArg() == 1 && fs.Arg(0) != "./...") {
+		fmt.Fprintf(fs.Output(), "scoutlint: got %q; the only package pattern is ./... (the whole module is always analyzed)\n", fs.Args())
+		fs.Usage()
+		return 2
+	}
 
 	analyzers := lint.All()
 	if *listFlag {
@@ -47,14 +54,6 @@ func run() int {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *rulesFlag != "" {
-		var err error
-		analyzers, err = lint.ByName(*rulesFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scoutlint:", err)
-			return 2
-		}
 	}
 
 	wd, err := os.Getwd()
@@ -67,24 +66,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "scoutlint:", err)
 		return 2
 	}
-
-	allowPath := *allowFlag
-	if allowPath == "" {
-		allowPath = filepath.Join(root, ".scoutlint-allow")
-	}
-	allow, err := lint.ParseAllowFile(allowPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scoutlint:", err)
-		return 2
-	}
-	if unknown := allow.UnknownRules(lint.All()); len(unknown) > 0 {
-		for _, e := range unknown {
-			fmt.Fprintf(os.Stderr, "scoutlint: allowlist entry %s:%d names unknown rule %q; fix or delete it\n",
-				allowPath, e.Line, e.Rule)
-		}
-		return 1
-	}
-
 	mod, err := lint.Load(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scoutlint:", err)
@@ -119,8 +100,7 @@ func run() int {
 		now = time.Now
 	}
 	diags, timings := lint.RunModuleTimed(mod, analyzers, now)
-	kept := allow.Filter(diags)
-	for _, d := range kept {
+	for _, d := range diags {
 		fmt.Println(d.String())
 		if *whyFlag {
 			for _, frame := range d.Chain {
@@ -131,18 +111,9 @@ func run() int {
 	for _, t := range timings {
 		fmt.Fprintf(os.Stderr, "scoutlint: timing %-14s %8.1fms\n", t.Name, float64(t.Elapsed.Microseconds())/1000)
 	}
-	bad := len(kept) > 0
-	if *rulesFlag == "" { // staleness is only meaningful with the full suite
-		for _, e := range allow.Stale() {
-			fmt.Fprintf(os.Stderr, "scoutlint: stale allowlist entry %s:%d (%s %s) matches nothing; delete it\n",
-				allowPath, e.Line, e.Rule, e.Path)
-			bad = true
-		}
-	}
-	if bad {
+	if len(diags) > 0 {
 		return 1
 	}
-	fmt.Printf("scoutlint: %d analyzer(s), %d package(s), clean (%d suppressed)\n",
-		len(analyzers), len(mod.Pkgs), len(diags)-len(kept))
+	fmt.Printf("scoutlint: %d analyzer(s), %d package(s), clean\n", len(analyzers), len(mod.Pkgs))
 	return 0
 }

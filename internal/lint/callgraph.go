@@ -12,12 +12,11 @@ import (
 )
 
 // This file builds the module's data-path call graph: the whole-program
-// facility the interprocedural analyzers (detlint, shardguard, goguard,
-// nopanic-deep, locksafe-deep, errcheck-deep) share. The paper's argument
-// (§3.2) is that invariants fixed at path-creation time make aggressive path
-// optimizations sound; the per-function analyzers check those invariants one
-// body at a time, but the invariants themselves are properties of *call
-// chains* rooted at the delivery entry points. The graph makes those chains
+// facility the analyzers share (every one but attrkey and flowguard). The
+// paper's argument (§3.2) is that invariants fixed at path-creation time make
+// aggressive path optimizations sound; the invariants themselves are
+// properties of *call chains* rooted at the delivery entry points, not of
+// one body at a time. The graph makes those chains
 // explicit, so "no wall-clock read on the data path" means no wall-clock
 // read in any function the data path can reach — and the sharded parallel
 // kernel (ROADMAP item 1) can rely on it.
@@ -238,8 +237,16 @@ func (g *CallGraph) addFile(pkg *Package, f *ast.File) {
 		case *ast.GenDecl:
 			// Function literals in package-level initializers (var x = ...,
 			// sync.Pool{New: ...}) still get nodes; they run at boot or via
-			// the field they are assigned to.
+			// the field they are assigned to. The field assignments
+			// themselves belong to no function body.
 			g.addLits(pkg, base+".init", nil, d)
+			ast.Inspect(d, func(x ast.Node) bool {
+				if cl, ok := x.(*ast.CompositeLit); ok {
+					g.recordLitFields(pkg, nil, cl)
+				}
+				_, isLit := x.(*ast.FuncLit)
+				return !isLit
+			})
 		}
 	}
 }
@@ -323,14 +330,10 @@ func (g *CallGraph) scanNode(n *GraphNode) {
 				if i >= len(st.Rhs) {
 					break // x, y = f() — no function value to record
 				}
-				g.recordFieldAssign(n, lhs, st.Rhs[i])
+				g.recordFieldAssign(n.Pkg, n, lhs, st.Rhs[i])
 			}
 		case *ast.CompositeLit:
-			for _, el := range st.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					g.recordFieldAssign(n, kv.Key, kv.Value)
-				}
-			}
+			g.recordLitFields(n.Pkg, n, st)
 		case *ast.CallExpr:
 			g.scanCall(n, st)
 		}
@@ -338,46 +341,22 @@ func (g *CallGraph) scanNode(n *GraphNode) {
 	})
 }
 
-// scanPackageDecls records field assignments made in package-level variable
-// initializers, which no function body owns.
-func (g *CallGraph) scanPackageDecls(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			ast.Inspect(gd, func(x ast.Node) bool {
-				if _, ok := x.(*ast.FuncLit); ok {
-					return false
-				}
-				if cl, ok := x.(*ast.CompositeLit); ok {
-					for _, el := range cl.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							g.recordFieldAssignPkg(pkg, kv.Key, kv.Value)
-						}
-					}
-				}
-				return true
-			})
+func (g *CallGraph) recordLitFields(pkg *Package, owner *GraphNode, cl *ast.CompositeLit) {
+	for _, el := range cl.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			g.recordFieldAssign(pkg, owner, kv.Key, kv.Value)
 		}
 	}
 }
 
-func (g *CallGraph) recordFieldAssign(n *GraphNode, lhs, rhs ast.Expr) {
-	name, ok := fieldName(n.Pkg.Info, lhs)
-	if !ok || !isFuncValued(n.Pkg.Info, rhs) {
-		return
-	}
-	g.fieldAssigns[name] = append(g.fieldAssigns[name], pendingValue{expr: rhs, owner: n, pkg: n.Pkg})
-}
-
-func (g *CallGraph) recordFieldAssignPkg(pkg *Package, lhs, rhs ast.Expr) {
+// recordFieldAssign notes a function value assigned to a struct field;
+// owner is the enclosing function, nil in a package-level initializer.
+func (g *CallGraph) recordFieldAssign(pkg *Package, owner *GraphNode, lhs, rhs ast.Expr) {
 	name, ok := fieldName(pkg.Info, lhs)
 	if !ok || !isFuncValued(pkg.Info, rhs) {
 		return
 	}
-	g.fieldAssigns[name] = append(g.fieldAssigns[name], pendingValue{expr: rhs, pkg: pkg})
+	g.fieldAssigns[name] = append(g.fieldAssigns[name], pendingValue{expr: rhs, owner: owner, pkg: pkg})
 }
 
 // fieldName reports the struct-field name lhs assigns to: a selector
@@ -439,24 +418,27 @@ func (g *CallGraph) scanCall(n *GraphNode, call *ast.CallExpr) {
 		return
 	}
 
-	// Conversions (T(x)) and builtin calls resolve to nothing.
-	if tv, ok := info.Types[fun]; ok && tv.IsType() {
-		return
-	}
-	if id, ok := fun.(*ast.Ident); ok {
-		if obj, ok := info.Uses[id]; ok {
-			if _, isBuiltin := obj.(*types.Builtin); isBuiltin {
-				return
-			}
-		}
-	}
-
 	// Function-value call: defer resolution until all assignments and call
 	// sites are collected.
-	if isFuncValued(info, fun) {
+	if funcValueCall(info, fun) {
 		n.cbDirect = true
 		n.pendingCalls = append(n.pendingCalls, pendingCall{fun: fun, pos: call.Pos()})
 	}
+}
+
+// funcValueCall reports whether fun, a callee naming no declared function
+// or literal, is a function-typed value — a callback — rather than a
+// conversion (T(x)) or a builtin.
+func funcValueCall(info *types.Info, fun ast.Expr) bool {
+	if tv, ok := info.Types[fun]; ok && tv.IsType() {
+		return false
+	}
+	if id, ok := fun.(*ast.Ident); ok {
+		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
+			return false
+		}
+	}
+	return isFuncValued(info, fun)
 }
 
 // recordRootArgs roots function values passed to the data-path spawn points
@@ -749,11 +731,6 @@ func sigKey(t types.Type) string {
 // (already set by resolveValueCalls) values assigned to data-path fields or
 // passed to the spawn points.
 func (g *CallGraph) markRoots() {
-	for _, pkg := range g.Mod.Pkgs {
-		if pkg.Info != nil {
-			g.scanPackageDecls(pkg)
-		}
-	}
 	for name, pvs := range g.fieldAssigns {
 		if !dataPathFields[name] {
 			continue
@@ -829,18 +806,7 @@ func (g *CallGraph) Chain(n *GraphNode) []string {
 
 func (g *CallGraph) pos(p token.Pos) string {
 	position := g.Mod.Fset.Position(p)
-	file := position.Filename
-	if rel := relTo(g.Mod.Root, file); rel != "" {
-		file = rel
-	}
-	return fmt.Sprintf("%s:%d", file, position.Line)
-}
-
-func relTo(root, file string) string {
-	if strings.HasPrefix(file, root+"/") {
-		return file[len(root)+1:]
-	}
-	return ""
+	return fmt.Sprintf("%s:%d", g.Mod.relPath(position.Filename), position.Line)
 }
 
 // NodesIn returns the graph nodes belonging to pkg, in position order.

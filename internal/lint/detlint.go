@@ -8,17 +8,15 @@ import (
 	"strings"
 )
 
-// DetLint enforces determinism interprocedurally: the sharded parallel
-// simulation kernel (ROADMAP item 1) can only promise same-seed
-// byte-identical output if no map-iteration order, wall-clock read, or
-// unseeded random draw can leak into simulation results or exported
-// artifacts through *any* call chain. Two scopes are checked:
+// DetLint enforces deterministic map iteration interprocedurally: the
+// sharded parallel simulation kernel (ROADMAP item 1) can only promise
+// same-seed byte-identical output if no map-iteration order can leak into
+// simulation results or exported artifacts through *any* call chain (the
+// wall clock and global rand are simclock's). Two scopes are checked:
 //
 //   - data-path scope: every function reachable from the data-path call
 //     graph roots (Deliver chains, thread bodies, interrupt handlers). A
-//     `range` over a map there processes work in a different order each run;
-//     wall-clock and global math/rand calls (the simclock tables) are
-//     flagged here even outside internal/, where simclock does not look.
+//     `range` over a map there processes work in a different order each run.
 //
 //   - export scope: packages that serialize results (they import
 //     encoding/json, or are listed in detExportPkgs). Iterating a map while
@@ -32,7 +30,7 @@ import (
 // is also accepted. Anything else must iterate a sorted key slice.
 var DetLint = &Analyzer{
 	Name:       "detlint",
-	Doc:        "no order-nondeterministic map iteration (and no wall clock/global rand) on data-path or export call chains",
+	Doc:        "no order-nondeterministic map iteration on data-path or export call chains",
 	NeedsTypes: true,
 	Run:        runDetLint,
 }
@@ -68,9 +66,6 @@ func runDetLint(pass *Pass) {
 						types.ExprString(rs.X), scope)
 				}
 			}
-			if onPath {
-				detCheckClock(pass, g, n, x)
-			}
 			return true
 		})
 	}
@@ -90,44 +85,6 @@ func detExportScope(pkg *Package) bool {
 		}
 	}
 	return false
-}
-
-// detCheckClock applies the simclock tables to data-path-reachable code in
-// packages simclock itself does not cover (outside internal/). Inside
-// internal/ simclock already reports the same line; detlint stays silent
-// there so a single violation yields a single finding.
-func detCheckClock(pass *Pass, g *CallGraph, n *GraphNode, x ast.Node) {
-	if pass.Pkg.Internal() {
-		return
-	}
-	sel, ok := x.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	obj, ok := pass.Pkg.Info.Uses[id]
-	if !ok {
-		return
-	}
-	pkgName, ok := obj.(*types.PkgName)
-	if !ok {
-		return
-	}
-	switch pkgName.Imported().Path() {
-	case "time":
-		if why, banned := timeBanned[sel.Sel.Name]; banned {
-			pass.ReportfChain(sel.Pos(), g.Chain(n),
-				"wall-clock time.%s on a data-path call chain breaks same-seed determinism; %s", sel.Sel.Name, why)
-		}
-	case "math/rand", "math/rand/v2":
-		if randBanned[sel.Sel.Name] {
-			pass.ReportfChain(sel.Pos(), g.Chain(n),
-				"global %s.%s on a data-path call chain draws from a shared unseeded source; use sim.Engine.Rand()", id.Name, sel.Sel.Name)
-		}
-	}
 }
 
 func isMapType(info *types.Info, x ast.Expr) bool {

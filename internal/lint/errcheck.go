@@ -2,23 +2,29 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
-// ErrCheck flags error results that are silently discarded in internal/
-// production code: a call used as a bare statement whose (last) result is an
-// error. On a path, a dropped error is a dropped invariant — admission
-// control, fbuf limits, and demux failures all report through error returns,
-// and ignoring one turns a controlled degradation into silent corruption.
-// Explicit discards (`_ = f()`) remain legal: they are visible in review and
-// greppable.
+// ErrCheck flags dropped errors. On a path, a dropped error is a dropped
+// invariant — admission control, fbuf limits, and demux failures all report
+// through error returns, and ignoring one turns a controlled degradation into
+// silent corruption. Two rules, which never flag the same statement, share
+// one walk over the package's call-graph nodes:
+//
+//   - in internal/ non-test code, a call used as a bare statement whose (last)
+//     result is an error: discards must be explicit (`_ = f()`) so they are
+//     visible in review and greppable;
+//   - on a call chain a data-path root can reach, even an explicit discard is
+//     a dropped path invariant unless the code says why: a blank-discarded
+//     error must carry a justifying comment on its line or the line above
+//     (the rule ServeIncoming already follows).
 var ErrCheck = &Analyzer{
-	Name:         "errcheck-lite",
-	Doc:          "no silently discarded error results in internal/ non-test code",
-	InternalOnly: true,
-	NeedsTypes:   true,
-	Run:          runErrCheck,
+	Name:       "errcheck",
+	Doc:        "no silently discarded errors in internal/; blank discards on data-path chains need a comment",
+	NeedsTypes: true,
+	Run:        runErrCheck,
 }
 
 // errCheckExempt lists callees whose errors are conventionally meaningless:
@@ -36,30 +42,60 @@ func errCheckExemptRecv(full string) bool {
 }
 
 func runErrCheck(pass *Pass) {
-	info := pass.Pkg.Info
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
-				return true
+	g := pass.Pkg.Mod.Graph()
+	internal := pass.Pkg.Internal()
+	for _, n := range g.NodesIn(pass.Pkg) {
+		if !internal && !n.Reachable() {
+			continue
+		}
+		n.inspectOwn(func(x ast.Node) bool {
+			switch st := x.(type) {
+			case *ast.ExprStmt:
+				if internal {
+					checkBareDrop(pass, st)
+				}
+			case *ast.AssignStmt:
+				if n.Reachable() {
+					checkBlankDrop(pass, g, n, st)
+				}
 			}
-			call, ok := stmt.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if !returnsError(info, call) {
-				return true
-			}
-			name := calleeName(info, call)
-			if errCheckExempt[name] || errCheckExemptRecv(name) {
-				return true
-			}
-			if name == "" {
-				name = "call"
-			}
-			pass.Reportf(call.Pos(), "%s returns an error that is silently discarded; handle it or assign it explicitly (_ = ...)", name)
 			return true
 		})
+	}
+}
+
+// checkBareDrop flags a call statement whose error result is discarded.
+func checkBareDrop(pass *Pass, stmt *ast.ExprStmt) {
+	info := pass.Pkg.Info
+	call, ok := stmt.X.(*ast.CallExpr)
+	if !ok || !returnsError(info, call) {
+		return
+	}
+	name := calleeName(info, call)
+	if errCheckExempt[name] || errCheckExemptRecv(name) {
+		return
+	}
+	if name == "" {
+		name = "call"
+	}
+	pass.Reportf(call.Pos(), "%s returns an error that is silently discarded; handle it or assign it explicitly (_ = ...)", name)
+}
+
+// checkBlankDrop flags an assignment that blank-discards an error with no
+// comment on its line or the line above.
+func checkBlankDrop(pass *Pass, g *CallGraph, n *GraphNode, st *ast.AssignStmt) {
+	if st.Tok != token.ASSIGN && st.Tok != token.DEFINE {
+		return
+	}
+	for i, lhs := range st.Lhs {
+		if !blankIdent(lhs) || !discardsError(pass.Pkg.Info, st, i) {
+			continue
+		}
+		if !commentNear(pass, st.Pos(), "") {
+			pass.ReportfChain(st.Pos(), g.Chain(n),
+				"error blank-discarded on a data-path call chain in %s; handle it, or justify the discard with a comment on this line", n.Name)
+		}
+		return
 	}
 }
 
@@ -81,6 +117,28 @@ func returnsError(info *types.Info, call *ast.CallExpr) bool {
 		last = t
 	}
 	return isErrorType(last)
+}
+
+// discardsError reports whether position i of the assignment receives a
+// value of (exactly) type error.
+func discardsError(info *types.Info, st *ast.AssignStmt, i int) bool {
+	if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
+		tv, ok := info.Types[st.Rhs[0]]
+		if !ok {
+			return false
+		}
+		tuple, ok := tv.Type.(*types.Tuple)
+		if !ok || i >= tuple.Len() {
+			return false
+		}
+		return isErrorType(tuple.At(i).Type())
+	}
+	if i < len(st.Rhs) {
+		if tv, ok := info.Types[st.Rhs[i]]; ok && tv.Type != nil {
+			return isErrorType(tv.Type)
+		}
+	}
+	return false
 }
 
 var errorType = types.Universe.Lookup("error").Type()

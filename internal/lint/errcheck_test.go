@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestErrCheckDeep cannot use the // want golden harness: any comment on a
-// discard's line (or the line above) is itself the justification the
-// analyzer accepts, so the positives must stay comment-free. Findings are
-// asserted per function instead.
+// TestErrCheckDeep covers errcheck's data-path rule, which cannot use the
+// // want golden harness: any comment on a discard's line (or the line above)
+// is itself the justification the analyzer accepts, so the positives must
+// stay comment-free. Findings are asserted per function instead.
 func TestErrCheckDeep(t *testing.T) {
 	mod := loadTestPackage(t, "testdata/errcheckdeep", "scout/internal/fake")
-	diags := RunModule(mod, []*Analyzer{ErrCheckDeep})
+	diags := RunModule(mod, []*Analyzer{ErrCheck})
 
 	perFunc := map[string]int{}
 	for _, d := range diags {
@@ -35,7 +35,7 @@ func TestErrCheckDeep(t *testing.T) {
 	}
 }
 
-// TestChainRendering: the interprocedural analyzers must attach the
+// TestChainRendering: the graph-backed analyzers must attach the
 // root-to-finding call chain `scoutlint -why` prints.
 func TestChainRendering(t *testing.T) {
 	mod := loadTestPackage(t, "testdata/detlint", "scout/internal/fake")
@@ -54,19 +54,5 @@ func TestChainRendering(t *testing.T) {
 	}
 	if !strings.HasPrefix(helperChain[1], "-> fake.helper (det.go:") {
 		t.Errorf("chain hop frame = %q", helperChain[1])
-	}
-}
-
-// TestAllowlistUnknownRules: entries naming rules no analyzer has are
-// flagged so typos cannot silently suppress nothing (or the wrong thing).
-func TestAllowlistUnknownRules(t *testing.T) {
-	al := &Allowlist{Entries: []*AllowEntry{
-		{Rule: "nopanic", Path: "internal/x.go", Line: 1},
-		{Rule: "*", Path: "internal/y.go", Line: 2},
-		{Rule: "nopanick", Path: "internal/z.go", Line: 3},
-	}}
-	unknown := al.UnknownRules(All())
-	if len(unknown) != 1 || unknown[0].Rule != "nopanick" {
-		t.Fatalf("UnknownRules = %+v, want exactly the nopanick entry", unknown)
 	}
 }

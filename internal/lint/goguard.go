@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/token"
-	"strings"
-)
+import "go/ast"
 
 // GoGuard keeps goroutine creation off the data path. The whole kernel is a
 // single-threaded event loop (flowguard already relies on that for the flow
@@ -33,7 +29,7 @@ func runGoGuard(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if spawnAnnotated(pass, gs.Pos()) {
+			if commentNear(pass, gs.Pos(), "spawn") {
 				return true
 			}
 			pass.ReportfChain(gs.Pos(), g.Chain(n),
@@ -41,38 +37,4 @@ func runGoGuard(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// spawnAnnotated reports whether a `//scout:spawn <why>` comment (with a
-// non-empty reason) sits on the statement's line or the line above it.
-func spawnAnnotated(pass *Pass, pos token.Pos) bool {
-	fset := pass.Pkg.Mod.Fset
-	position := fset.Position(pos)
-	f := fileAt(pass, pos)
-	if f == nil {
-		return false
-	}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			idx := strings.Index(c.Text, "scout:spawn")
-			if idx < 0 || strings.TrimSpace(c.Text[idx+len("scout:spawn"):]) == "" {
-				continue
-			}
-			cl := fset.Position(c.End()).Line
-			if cl == position.Line || cl == position.Line-1 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// fileAt finds the parsed file containing pos among the pass's files.
-func fileAt(pass *Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

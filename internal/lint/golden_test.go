@@ -80,18 +80,19 @@ func TestGolden(t *testing.T) {
 		asPath   string
 	}{
 		{Simclock, "testdata/simclock", "scout/internal/fake"},
+		{Simclock, "testdata/simclockpath", "scout/cmd/fake"},
 		{AttrKey, "testdata/attrkey", "scout/internal/fake"},
 		{AttrKey, "testdata/attrkeydecl", "scout/internal/attr"},
 		{NoPanic, "testdata/nopanic", "scout/internal/fake"},
+		{NoPanic, "testdata/nopanicdeep", "scout/internal/fake"},
 		{LockSafe, "testdata/locksafe", "scout/internal/fake"},
+		{LockSafe, "testdata/locksafedeep", "scout/internal/fake"},
 		{ErrCheck, "testdata/errchecklite", "scout/internal/fake"},
 		{FlowGuard, "testdata/flowguard", "scout/internal/fake"},
 		{DetLint, "testdata/detlint", "scout/internal/fake"},
 		{DetLint, "testdata/detexport", "scout/cmd/fake"},
 		{ShardGuard, "testdata/shardguard", "scout/internal/fake"},
 		{GoGuard, "testdata/goguard", "scout/internal/fake"},
-		{NoPanicDeep, "testdata/nopanicdeep", "scout/internal/fake"},
-		{LockSafeDeep, "testdata/locksafedeep", "scout/internal/fake"},
 	}
 	for _, tc := range cases {
 		name := tc.analyzer.Name + "/" + filepath.Base(tc.dir)
@@ -126,8 +127,9 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestAnalyzerScope checks InternalOnly: the same violating file produces
-// nothing when the package lives outside internal/.
+// TestAnalyzerScope checks simclock's scope: the same violating file
+// produces nothing when the package lives outside internal/ and no data-path
+// root reaches it.
 func TestAnalyzerScope(t *testing.T) {
 	mod := loadTestPackage(t, "testdata/simclock", "scout/cmd/fake")
 	if diags := RunModule(mod, []*Analyzer{Simclock}); len(diags) != 0 {

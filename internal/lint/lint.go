@@ -20,7 +20,7 @@ import (
 )
 
 // Diagnostic is one finding. File is relative to the module root so output
-// and allowlist entries are stable across checkouts.
+// is stable across checkouts.
 type Diagnostic struct {
 	File string
 	Line int
@@ -46,9 +46,6 @@ type Analyzer struct {
 	// pass. Analyzers that need type info must tolerate Info==nil misses
 	// on those files.
 	IncludeTests bool
-	// InternalOnly restricts the analyzer to packages under
-	// <module>/internal/.
-	InternalOnly bool
 	// NeedsTypes skips packages whose type-check failed entirely.
 	NeedsTypes bool
 	Run        func(*Pass)
@@ -70,16 +67,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportfChain records a finding at pos with the call chain that reaches it;
-// the interprocedural analyzers use it so `-why` can print how the data path
+// the graph-backed analyzers use it so `-why` can print how the data path
 // gets there.
 func (p *Pass) ReportfChain(pos token.Pos, chain []string, format string, args ...any) {
 	position := p.Pkg.Mod.Fset.Position(pos)
-	file := position.Filename
-	if rel, err := filepath.Rel(p.Pkg.Mod.Root, file); err == nil {
-		file = filepath.ToSlash(rel)
-	}
 	p.report(Diagnostic{
-		File:  file,
+		File:  p.Pkg.Mod.relPath(position.Filename),
 		Line:  position.Line,
 		Col:   position.Column,
 		Rule:  p.Analyzer.Name,
@@ -88,34 +81,66 @@ func (p *Pass) ReportfChain(pos token.Pos, chain []string, format string, args .
 	})
 }
 
-// All returns every analyzer in the suite, in stable order: the per-function
-// checks first, then the call-graph-backed interprocedural ones.
+// relPath renders file relative to the module root, slash-separated.
+func (m *Module) relPath(file string) string {
+	if rel, err := filepath.Rel(m.Root, file); err == nil {
+		return filepath.ToSlash(rel)
+	}
+	return file
+}
+
+// All returns every analyzer in the suite, one per invariant, in stable
+// order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Simclock, AttrKey, NoPanic, LockSafe, ErrCheck, FlowGuard,
-		DetLint, ShardGuard, GoGuard, NoPanicDeep, LockSafeDeep, ErrCheckDeep,
+		DetLint, ShardGuard, GoGuard,
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("simclock,attrkey").
-func ByName(names string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
+// An exception to an invariant is recorded in the code it excuses, as a
+// `//scout:<marker> <why>` comment with a non-empty reason: `assert` in a
+// function's doc comment (nopanic), `spawn` on or above a `go` statement
+// (goguard), and `confined` on a package-level var declaration (shardguard).
+
+// scoutMarker reports whether c is a `//scout:<name> <why>` marker.
+func scoutMarker(c *ast.Comment, name string) bool {
+	why, ok := strings.CutPrefix(c.Text, "//scout:"+name+" ")
+	return ok && strings.TrimSpace(why) != ""
+}
+
+// markedGroup reports whether any comment in cg is a `//scout:<name>` marker.
+func markedGroup(cg *ast.CommentGroup, name string) bool {
+	if cg == nil {
+		return false
 	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
+	for _, c := range cg.List {
+		if scoutMarker(c, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// commentNear reports whether a comment ends on pos's line or the line above
+// it; when marker is set, only a `//scout:<marker> <why>` comment counts.
+func commentNear(pass *Pass, pos token.Pos, marker string) bool {
+	fset := pass.Pkg.Mod.Fset
+	line := fset.Position(pos).Line
+	for _, f := range pass.Files {
+		if pos < f.FileStart || pos > f.FileEnd {
 			continue
 		}
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				cl := fset.Position(c.End()).Line
+				if (cl == line || cl == line-1) && (marker == "" || scoutMarker(c, marker)) {
+					return true
+				}
+			}
 		}
-		out = append(out, a)
 	}
-	return out, nil
+	return false
 }
 
 // Run loads the module rooted at root and applies the analyzers to every
@@ -149,9 +174,6 @@ func RunModuleTimed(mod *Module, analyzers []*Analyzer, now func() time.Time) ([
 	var diags []Diagnostic
 	for _, pkg := range mod.Pkgs {
 		for _, a := range analyzers {
-			if a.InternalOnly && !pkg.Internal() {
-				continue
-			}
 			if a.NeedsTypes && pkg.Types == nil {
 				continue
 			}

@@ -23,7 +23,8 @@ type Module struct {
 	Pkgs []*Package
 
 	byPath map[string]*Package
-	graph  *CallGraph // lazily built data-path call graph (see callgraph.go)
+	graph  *CallGraph     // lazily built data-path call graph (see callgraph.go)
+	shard  *shardModFacts // lazily built shardguard facts (see shardguard.go)
 }
 
 // Package is one package in the module.

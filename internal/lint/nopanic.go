@@ -3,68 +3,49 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // NoPanic enforces error discipline on the data path. A Scout path survives
 // bad packets: a malformed TCP segment or an oversized fbuf request must
 // surface as an error the path (or its creator) handles, never as a crash of
-// the whole appliance. Panics are reserved for boot-time wiring and
-// programming errors caught at construction: constructors (New*), init
-// functions, and must* helpers, which exist precisely to turn errors into
-// panics at configuration time (§3.1's configuration step).
+// the whole appliance. A panic is a finding when a data-path root reaches
+// the function holding it, through any chain of calls. Panics off every
+// data-path chain — boot-time wiring, constructors, the codec's encoder —
+// are allowed: they fire at configuration time (§3.1's configuration step),
+// before any path exists.
 //
-// A function whose doc comment carries `//scout:assert <why>` is also
-// exempt: the marker documents that its panics are fail-loud assertions on
-// kernel-corruption invariants (an fbuf freed twice, the virtual clock
-// running backwards) where continuing would corrupt state. nopanic-deep
-// honors the same marker, so the one annotation answers both the direct and
-// the reachable-from-the-data-path rule.
+// A function whose doc comment carries `//scout:assert <why>` is exempt
+// even on the path: the marker documents that its panics are fail-loud
+// assertions on kernel-corruption invariants (an fbuf freed twice, the
+// virtual clock running backwards) where continuing would corrupt state.
 var NoPanic = &Analyzer{
-	Name:         "nopanic",
-	Doc:          "no panic() in data-path code; return errors (panics allowed in New*/init/must* only)",
-	InternalOnly: true,
-	Run:          runNoPanic,
-}
-
-func panicAllowedFunc(name string) bool {
-	lower := strings.ToLower(name)
-	return name == "init" ||
-		strings.HasPrefix(name, "New") ||
-		strings.HasPrefix(lower, "must")
+	Name:       "nopanic",
+	Doc:        "no panic reachable from the data path unless the function is marked //scout:assert",
+	NeedsTypes: true,
+	Run:        runNoPanic,
 }
 
 func runNoPanic(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && (panicAllowedFunc(fn.Name.Name) || assertAnnotated(fn)) {
-				continue
-			}
-			where := "package-level initializer"
-			if ok {
-				where = fn.Name.Name
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				id, ok := call.Fun.(*ast.Ident)
-				if !ok || id.Name != "panic" {
-					return true
-				}
-				// Make sure it's the builtin, not a shadowing func.
-				if pass.Pkg.Info != nil {
-					if obj, ok := pass.Pkg.Info.Uses[id]; ok {
-						if _, builtin := obj.(*types.Builtin); !builtin {
-							return true
-						}
-					}
-				}
-				pass.Reportf(call.Pos(), "panic in data-path code (%s); return an error so the path degrades instead of crashing the appliance", where)
-				return true
-			})
+	g := pass.Pkg.Mod.Graph()
+	for _, n := range g.NodesIn(pass.Pkg) {
+		if !n.Reachable() || (n.Decl != nil && markedGroup(n.Decl.Doc, "assert")) {
+			continue
 		}
+		n.inspectOwn(func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			id, ok := call.Fun.(*ast.Ident)
+			if !ok || id.Name != "panic" {
+				return true
+			}
+			if _, builtin := pass.Pkg.Info.Uses[id].(*types.Builtin); !builtin {
+				return true
+			}
+			pass.ReportfChain(call.Pos(), g.Chain(n),
+				"panic in %s is reachable from the data path; return an error, or mark the function //scout:assert <why> if this guards kernel-corruption invariants", n.Name)
+			return true
+		})
 	}
 }

@@ -1,14 +1,15 @@
 package lint
 
 import (
-	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // TestScoutlintSelfCheck runs the full analyzer suite against this module's
-// real source and requires a clean result modulo the checked-in allowlist.
-// It is part of tier-1 (`go test ./...`), so an invariant regression fails
-// the ordinary test run, not just CI's scoutlint step.
+// real source and requires zero findings: an exception to an invariant is a
+// //scout: marker in the code, never a suppression file. It is part of
+// tier-1 (`go test ./...`), so an invariant regression fails the ordinary
+// test run, not just CI's scoutlint step.
 func TestScoutlintSelfCheck(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -23,35 +24,24 @@ func TestScoutlintSelfCheck(t *testing.T) {
 			t.Errorf("%s: type error: %v", pkg.Path, terr)
 		}
 	}
-	allow, err := ParseAllowFile(filepath.Join(root, ".scoutlint-allow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunModule(mod, All())
-	for _, d := range allow.Filter(diags) {
+	for _, d := range RunModule(mod, All()) {
 		t.Errorf("scoutlint: %s", d)
-	}
-	for _, e := range allow.Stale() {
-		t.Errorf("stale allowlist entry %s:%d (%s %s): matches nothing; the violation was fixed, delete the entry",
-			allow.File, e.Line, e.Rule, e.Path)
-	}
-	for _, e := range allow.UnknownRules(All()) {
-		t.Errorf("allowlist entry %s:%d names unknown rule %q; fix or delete it", allow.File, e.Line, e.Rule)
 	}
 	if len(mod.Pkgs) < 30 {
 		t.Errorf("loader found only %d packages; module discovery looks broken", len(mod.Pkgs))
 	}
-	// The interprocedural layer must stay registered: a Graph() panic or an
-	// accidental drop from All() would otherwise silently skip it.
-	want := map[string]bool{
-		"detlint": true, "shardguard": true, "goguard": true,
-		"nopanic-deep": true, "locksafe-deep": true, "errcheck-deep": true,
+	// One analyzer per invariant: a Graph() panic or an accidental drop from
+	// All() would otherwise silently skip a rule.
+	want := []string{
+		"simclock", "attrkey", "nopanic", "locksafe", "errcheck",
+		"flowguard", "detlint", "shardguard", "goguard",
 	}
+	var got []string
 	for _, a := range All() {
-		delete(want, a.Name)
+		got = append(got, a.Name)
 	}
-	for name := range want {
-		t.Errorf("analyzer %s missing from All()", name)
+	if !slices.Equal(got, want) {
+		t.Errorf("All() = %v, want %v", got, want)
 	}
 	if g := mod.Graph(); len(g.Nodes) < 100 {
 		t.Errorf("data-path call graph looks empty: %d nodes over the whole module", len(g.Nodes))

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // ShardGuard finds the shared mutable state that would make a sharded
@@ -25,8 +24,7 @@ import (
 //     (the degrade registry pattern);
 //   - its declaration carries a `//scout:confined <why>` comment, the
 //     documented claim that the state is confined to one shard or otherwise
-//     safe. The reason is mandatory, mirroring the allowlist's justifying
-//     comments.
+//     safe. The reason is mandatory.
 var ShardGuard = &Analyzer{
 	Name:       "shardguard",
 	Doc:        "no unsynchronized package-level mutable state reachable from the data path",
@@ -36,7 +34,7 @@ var ShardGuard = &Analyzer{
 
 func runShardGuard(pass *Pass) {
 	g := pass.Pkg.Mod.Graph()
-	sh := shardFacts(pass.Pkg.Mod)
+	sh := pass.Pkg.Mod.shardFacts()
 	for _, n := range g.NodesIn(pass.Pkg) {
 		if !n.Reachable() {
 			continue
@@ -52,7 +50,7 @@ func runShardGuard(pass *Pass) {
 			if !ok || reported[v] || !sh.mutableGlobal(v) {
 				return true
 			}
-			if lockWindows.covers(id.Pos()) {
+			if lockWindows.at(id.Pos()) != nil {
 				return true
 			}
 			reported[v] = true
@@ -71,14 +69,14 @@ type shardModFacts struct {
 	confined map[*types.Var]bool
 }
 
-var shardFactsCache = map[*Module]*shardModFacts{}
-
-func shardFacts(mod *Module) *shardModFacts {
-	if f, ok := shardFactsCache[mod]; ok {
-		return f
+// shardFacts returns the module's shardguard facts, building them on first
+// use; like the call graph, they live and die with the Module.
+func (m *Module) shardFacts() *shardModFacts {
+	if m.shard != nil {
+		return m.shard
 	}
 	f := &shardModFacts{mutated: map[*types.Var]bool{}, confined: map[*types.Var]bool{}}
-	for _, pkg := range mod.Pkgs {
+	for _, pkg := range m.Pkgs {
 		if pkg.Info == nil {
 			continue
 		}
@@ -97,7 +95,7 @@ func shardFacts(mod *Module) *shardModFacts {
 			}
 		}
 	}
-	shardFactsCache[mod] = f
+	m.shard = f
 	return f
 }
 
@@ -155,31 +153,18 @@ func rootGlobal(info *types.Info, scope *types.Scope, e ast.Expr) *types.Var {
 }
 
 // collectConfined records `//scout:confined <why>` annotations on var
-// declarations; a bare marker with no reason is ignored, matching the
-// allowlist's "no undocumented decisions" rule.
+// declarations; a bare marker with no reason is ignored.
 func (f *shardModFacts) collectConfined(pkg *Package, d *ast.GenDecl) {
 	if d.Tok != token.VAR {
 		return
 	}
-	hasMarker := func(cg *ast.CommentGroup) bool {
-		if cg == nil {
-			return false
-		}
-		for _, c := range cg.List {
-			idx := strings.Index(c.Text, "scout:confined")
-			if idx >= 0 && strings.TrimSpace(c.Text[idx+len("scout:confined"):]) != "" {
-				return true
-			}
-		}
-		return false
-	}
-	declMarked := hasMarker(d.Doc)
+	declMarked := markedGroup(d.Doc, "confined")
 	for _, spec := range d.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
 		if !ok {
 			continue
 		}
-		if !declMarked && !hasMarker(vs.Doc) && !hasMarker(vs.Comment) {
+		if !declMarked && !markedGroup(vs.Doc, "confined") && !markedGroup(vs.Comment, "confined") {
 			continue
 		}
 		for _, name := range vs.Names {
@@ -224,70 +209,4 @@ func shardSafeType(t types.Type) bool {
 		}
 	}
 	return true
-}
-
-// lockWindowSet captures where in a body a mutex is held, so lock-guarded
-// global accesses are accepted.
-type lockWindowSet struct {
-	windows [][2]token.Pos
-}
-
-func (l lockWindowSet) covers(p token.Pos) bool {
-	for _, w := range l.windows {
-		if p > w[0] && (w[1] == token.NoPos || p < w[1]) {
-			return true
-		}
-	}
-	return false
-}
-
-// collectLockWindows records, per mutex receiver expression, the span from
-// each Lock() to the next matching non-deferred Unlock() (or the end of the
-// body when the unlock is deferred). The matching is syntactic — the same
-// approximation locksafe uses — which is exactly right for the flat
-// lock/defer-unlock shapes this module allows.
-func collectLockWindows(info *types.Info, n *GraphNode) lockWindowSet {
-	type open struct {
-		recv string
-		pos  token.Pos
-	}
-	var opens []open
-	var set lockWindowSet
-	deferred := map[*ast.CallExpr]bool{}
-	n.inspectOwn(func(x ast.Node) bool {
-		if d, ok := x.(*ast.DeferStmt); ok {
-			deferred[d.Call] = true
-		}
-		return true
-	})
-	n.inspectOwn(func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, method, ok := mutexMethod(info, call)
-		if !ok {
-			return true
-		}
-		switch method {
-		case "Lock", "RLock":
-			opens = append(opens, open{recv: recv, pos: call.End()})
-		case "Unlock", "RUnlock":
-			if deferred[call] {
-				return true // held to the end of the body
-			}
-			for i := len(opens) - 1; i >= 0; i-- {
-				if opens[i].recv == recv {
-					set.windows = append(set.windows, [2]token.Pos{opens[i].pos, call.Pos()})
-					opens = append(opens[:i], opens[i+1:]...)
-					break
-				}
-			}
-		}
-		return true
-	})
-	for _, o := range opens {
-		set.windows = append(set.windows, [2]token.Pos{o.pos, token.NoPos})
-	}
-	return set
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"strconv"
@@ -8,15 +9,17 @@ import (
 
 // Simclock enforces virtual-clock determinism (DESIGN.md's substitution
 // table: wall-clock time is replaced by the discrete-event clock in
-// internal/sim). Code under internal/ must not consult the wall clock or the
-// global math/rand source: results would differ run to run, and the paper's
+// internal/sim). Code must not consult the wall clock or the global
+// math/rand source: results would differ run to run, and the paper's
 // experiments (Tables 1-5) are only reproducible because every delay and
-// every random draw comes from the seeded simulation engine.
+// every random draw comes from the seeded simulation engine. Two scopes are
+// checked: every file under internal/ (tests included), and, outside
+// internal/, every function a data-path root reaches — a command may time
+// itself, but not from inside a Deliver chain.
 var Simclock = &Analyzer{
 	Name:         "simclock",
 	Doc:          "forbid wall-clock time and global math/rand in virtual-clock code",
 	IncludeTests: true,
-	InternalOnly: true,
 	Run:          runSimclock,
 }
 
@@ -49,72 +52,98 @@ var randBanned = map[string]bool{
 }
 
 func runSimclock(pass *Pass) {
-	for _, f := range pass.Files {
-		timeNames, randNames := clockImports(f)
-		if len(timeNames) == 0 && len(randNames) == 0 {
-			continue
+	if pass.Pkg.Internal() {
+		for _, f := range pass.Files {
+			imports := clockImports(f)
+			if len(imports) == 0 {
+				continue
+			}
+			ast.Inspect(f, func(x ast.Node) bool {
+				checkClock(pass, imports, x, nil)
+				return true
+			})
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+		return
+	}
+	for _, n := range pass.Pkg.Mod.Graph().NodesIn(pass.Pkg) {
+		if n.Reachable() {
+			n.inspectOwn(func(x ast.Node) bool {
+				checkClock(pass, nil, x, n)
 				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			// With type info, make sure the identifier really is the
-			// package and not a shadowing local; without it (test
-			// files), trust the import name.
-			if pass.Pkg.Info != nil {
-				if obj, ok := pass.Pkg.Info.Uses[id]; ok {
-					if _, isPkg := obj.(*types.PkgName); !isPkg {
-						return true
-					}
-				}
-			}
-			if timeNames[id.Name] {
-				if why, banned := timeBanned[sel.Sel.Name]; banned {
-					pass.Reportf(sel.Pos(), "wall-clock time.%s breaks virtual-clock determinism; %s", sel.Sel.Name, why)
-				}
-			}
-			if randNames[id.Name] && randBanned[sel.Sel.Name] {
-				pass.Reportf(sel.Pos(), "global %s.%s draws from a shared unseeded source; use a seeded rand.New(rand.NewSource(seed))", id.Name, sel.Sel.Name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
-// clockImports returns the local names under which f imports "time" and
-// "math/rand" (or "math/rand/v2").
-func clockImports(f *ast.File) (timeNames, randNames map[string]bool) {
-	timeNames = map[string]bool{}
-	randNames = map[string]bool{}
+// checkClock reports x when it selects a banned time or math/rand function.
+// The package behind an identifier comes from type info when there is any,
+// which also rules out a local shadowing the import; test files have none,
+// and fall back to the file's import names. n, when set, is the data-path
+// graph node holding x, whose root chain the finding carries.
+func checkClock(pass *Pass, imports map[string]string, x ast.Node, n *GraphNode) {
+	sel, ok := x.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return
+	}
+	path := imports[id.Name]
+	if pass.Pkg.Info != nil {
+		if obj, ok := pass.Pkg.Info.Uses[id]; ok {
+			pn, isPkg := obj.(*types.PkgName)
+			if !isPkg {
+				return
+			}
+			path = pn.Imported().Path()
+		}
+	}
+	var msg string
+	switch path {
+	case "time":
+		if why, banned := timeBanned[sel.Sel.Name]; banned {
+			msg = fmt.Sprintf("wall-clock time.%s breaks virtual-clock determinism; %s", sel.Sel.Name, why)
+		}
+	case "math/rand", "math/rand/v2":
+		if randBanned[sel.Sel.Name] {
+			msg = fmt.Sprintf("global %s.%s draws from a shared unseeded source; use a seeded rand.New(rand.NewSource(seed))", id.Name, sel.Sel.Name)
+		}
+	}
+	if msg == "" {
+		return
+	}
+	var chain []string
+	if n != nil {
+		chain = pass.Pkg.Mod.Graph().Chain(n)
+	}
+	pass.ReportfChain(sel.Pos(), chain, "%s", msg)
+}
+
+// clockImports maps the local names under which f imports "time",
+// "math/rand" or "math/rand/v2" to the import path.
+func clockImports(f *ast.File) map[string]string {
+	names := map[string]string{}
 	for _, imp := range f.Imports {
 		path, err := strconv.Unquote(imp.Path.Value)
 		if err != nil {
 			continue
 		}
-		name := ""
+		name := "time"
+		switch path {
+		case "time":
+		case "math/rand", "math/rand/v2":
+			name = "rand"
+		default:
+			continue
+		}
 		if imp.Name != nil {
 			name = imp.Name.Name
 			if name == "_" || name == "." {
 				continue
 			}
 		}
-		switch path {
-		case "time":
-			if name == "" {
-				name = "time"
-			}
-			timeNames[name] = true
-		case "math/rand", "math/rand/v2":
-			if name == "" {
-				name = "rand"
-			}
-			randNames[name] = true
-		}
+		names[name] = path
 	}
-	return timeNames, randNames
+	return names
 }

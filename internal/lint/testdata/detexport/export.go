@@ -3,7 +3,6 @@ package fake
 import (
 	"encoding/json"
 	"sort"
-	"time"
 )
 
 // The package imports encoding/json, so every function is in detlint's
@@ -31,19 +30,3 @@ func renderSorted(counts map[string]int) []byte {
 	out, _ := json.Marshal(report{Names: names})
 	return out
 }
-
-// dev wires a data-path root so the wall-clock rule (which simclock only
-// enforces under internal/) is exercised out here too.
-type dev struct {
-	Deliver func()
-}
-
-func wire(d *dev) {
-	d.Deliver = pump
-}
-
-func pump() {
-	stamp = time.Now() // want "wall-clock"
-}
-
-var stamp time.Time

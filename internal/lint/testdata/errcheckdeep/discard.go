@@ -1,8 +1,9 @@
 package fake
 
-// errcheck-deep positives cannot carry `// want` markers — any comment on
-// the discard's line (or the line above) is read as the justification the
-// analyzer asks for. TestErrCheckDeep asserts the findings by function.
+// errcheck's data-path positives cannot carry `// want` markers — any
+// comment on the discard's line (or the line above) is read as the
+// justification the analyzer asks for. TestErrCheckDeep asserts the findings
+// by function.
 
 import "errors"
 

@@ -1,4 +1,4 @@
-// Golden input for the errcheck-lite analyzer: bare statements that drop an
+// Golden input for errcheck's bare-statement rule: statements that drop an
 // error result fire; explicit discards and exempted callees do not.
 package fake
 

@@ -1,6 +1,6 @@
-// Golden input for the locksafe analyzer: function-typed fields and
-// parameters invoked under a held mutex fire; declared methods and calls
-// after release do not.
+// Golden input for the locksafe analyzer: callbacks invoked under a held
+// mutex fire, directly or through a called literal or method; callback-free
+// methods and calls after release do not.
 package fake
 
 import "sync"
@@ -53,3 +53,19 @@ func (c *Cache) BadUnderReadLock() {
 	c.f() // want "callback c.f invoked while c.mu is held (RLock"
 	c.mu.RUnlock()
 }
+
+func (p *Pool) BadInline(n int) {
+	p.mu.Lock()
+	func() { // want "fake.(*Pool).BadInline$1 called while p.mu is held (Lock"
+		p.onFree(n)
+	}()
+	p.mu.Unlock()
+}
+
+func (c *Cache) BadNamedUnderReadLock() {
+	c.mu.RLock()
+	c.fire() // want "fake.(*Cache).fire called while c.mu is held (RLock"
+	c.mu.RUnlock()
+}
+
+func (c *Cache) fire() { c.f() }

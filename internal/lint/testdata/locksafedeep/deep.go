@@ -20,7 +20,7 @@ func Inject(s *stage) {
 func (s *stage) bump() { s.n++ }
 
 // forward hands off through one more hop; the callback is two frames below
-// the locked call site, where base locksafe cannot see it.
+// the locked call site.
 func (s *stage) forward() { s.hop() }
 
 func (s *stage) hop() {

@@ -1,5 +1,6 @@
-// Golden input for the nopanic analyzer: panics in constructors, init, and
-// must* helpers are legal; panics anywhere else on the data path fire.
+// Golden input for the nopanic analyzer: a panic fires only where a
+// data-path root reaches it. Constructors, init and must* helpers that no
+// root reaches may panic; so may any other function off every chain.
 package fake
 
 import "errors"
@@ -42,15 +43,15 @@ func MustGet(t *T, err error) *T {
 // Deliver is data-path code: a bad message must become an error.
 func (t *T) Deliver(n int) error {
 	if n < 0 {
-		panic("fake: negative delivery") // want "panic in data-path code (Deliver)"
+		panic("fake: negative delivery") // want "panic in fake.(*T).Deliver is reachable from the data path"
 	}
 	return errors.New("unimplemented")
 }
 
-// helper shows that function literals inherit the enclosing declaration.
+// helper is reached by no root, so its literal's panic is allowed.
 func helper() {
 	f := func() {
-		panic("inner") // want "panic in data-path code (helper)"
+		panic("inner")
 	}
 	f()
 }

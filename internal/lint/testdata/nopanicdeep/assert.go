@@ -1,16 +1,15 @@
 package fake
 
-// Inject is a data-path root by name. Base nopanic exempts New* and must*
-// functions wholesale; nopanic-deep re-checks them the moment a delivery
-// chain can actually reach them.
+// Inject is a data-path root by name. New* and must* functions may panic
+// only while no delivery chain can reach them.
 func Inject(n int) {
 	buf := NewBuffer(n)
 	mustAlign(n)
 	checkOwner(buf, n)
 }
 
-// NewBuffer panics on bad input and is base-exempt (New* prefix) — but it
-// is on the path now, and nothing documents the panic as an assertion.
+// NewBuffer panics on bad input, and it is on the path: nothing documents
+// the panic as an assertion.
 func NewBuffer(n int) []byte {
 	if n < 0 {
 		panic("negative size") // want "reachable from the data path"
@@ -18,7 +17,7 @@ func NewBuffer(n int) []byte {
 	return make([]byte, n)
 }
 
-// mustAlign is base-exempt (must* prefix), reachable, undocumented.
+// mustAlign is reachable and undocumented.
 func mustAlign(n int) {
 	if n%8 != 0 {
 		panic("unaligned") // want "reachable from the data path"
@@ -35,8 +34,7 @@ func checkOwner(buf []byte, owner int) {
 	}
 }
 
-// NewOffPath panics too, but no chain reaches it: only base nopanic's
-// New*-exemption applies, and nopanic-deep stays quiet.
+// NewOffPath panics too, but no chain reaches it, so nopanic stays quiet.
 func NewOffPath(n int) []byte {
 	if n < 0 {
 		panic("negative size")

@@ -1,4 +1,4 @@
-// Wall-time guard for the scoutlint suite. The 12 analyzers (and the
+// Wall-time guard for the scoutlint suite. The nine analyzers (and the
 // data-path call graph they share) run on every `make check` and in the
 // tier-1 self-check, so whole-repo analysis must stay interactive: the
 // conservative interface resolution and field-based points-to are quadratic
@@ -38,7 +38,7 @@ func TestScoutlintWallTime(t *testing.T) {
 }
 
 // BenchmarkScoutlint measures one full suite pass (load + type-check +
-// graph + 12 analyzers) so benchdiff catches analysis slowdowns the same
+// graph + nine analyzers) so benchdiff catches analysis slowdowns the same
 // way it catches data-path ones.
 func BenchmarkScoutlint(b *testing.B) {
 	root, err := lint.FindModuleRoot(".")
