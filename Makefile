@@ -1,21 +1,13 @@
 # Developer entry points. `make check` is the CI list
-# (.github/workflows/ci.yml) minus the artifact uploads (lintgraph, bench).
+# (.github/workflows/ci.yml) minus the fuzz step and the call-graph upload.
+# Performance is judged by `go run ./bench` (BENCHMARK.json), results by
+# `make gates`.
 
 GO ?= go
 
-# Bench knobs: CI uses BENCHTIME=1x for a fast, non-noisy artifact; local
-# runs can leave the default measurement time. BENCHCOUNT repeats each
-# benchmark; benchjson keeps the best observation per metric (min cost,
-# max fps), the standard defence against scheduler/GC noise on shared
-# machines. BENCHBASE is the committed baseline benchdiff compares against.
-BENCHTIME ?= 1s
-BENCHCOUNT ?= 5
-BENCHOUT ?= BENCH_pr14.json
-BENCHBASE ?= BENCH_pr10.json
+.PHONY: check build vet test race fuzz lint lintgraph benchsmoke gates uncovered
 
-.PHONY: check build vet test race fuzz lint lintgraph bench benchdiff benchsmoke gates uncovered
-
-check: build vet test race lint gates benchsmoke benchdiff
+check: build vet test race lint gates benchsmoke
 
 build:
 	$(GO) build ./...
@@ -57,25 +49,11 @@ LINTGRAPH ?= callgraph.txt
 lintgraph:
 	$(GO) run ./cmd/scoutlint -graph $(LINTGRAPH) ./...
 
-# bench emits the machine-readable perf trajectory: raw `go test -bench`
-# output is kept in BENCH_raw.txt and parsed into $(BENCHOUT) by
-# cmd/benchjson. Two steps (not a pipe) so a bench failure fails the target.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . ./internal/pathtrace ./internal/sim > BENCH_raw.txt
-	$(GO) run ./cmd/benchjson -in BENCH_raw.txt -out $(BENCHOUT)
-
-# benchdiff gates the perf trajectory: the committed candidate artifact must
-# hold its thresholds against the committed baseline (allocs strictly, ns/op
-# within ratio when CPUs match, fps no regression, and the flow cache's
-# hit-vs-walk separation within the candidate itself).
-benchdiff:
-	$(GO) run ./cmd/benchjson -base $(BENCHBASE) -new $(BENCHOUT)
-
-# benchsmoke is the CI-fast subset: one iteration of the wall-clock micro
-# benchmarks (E1–E3 + cold miss, and the checksum kernel) to prove they still
-# run; timings at -benchtime=1x are indicative only.
+# benchsmoke runs one iteration of the wall-clock microbenchmarks (path
+# create, the three demux benches, and the checksum kernel) to prove they
+# still run; timings at -benchtime=1x are indicative only.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkE1|BenchmarkE2|BenchmarkE3' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkE1|BenchmarkE2' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkSum -benchmem -benchtime 1x ./internal/proto/inet
 
 # gates is the determinism gate, in one process: every experiment in

@@ -1,10 +1,10 @@
-// Benchmarks regenerating every data artifact of the paper's evaluation —
-// one benchmark (family) per table or in-text experiment, per the index in
-// DESIGN.md. The scheduling experiments run on the virtual clock and report
-// their results as benchmark metrics; the §3.6 microbenchmarks (E1–E3) are
-// genuine wall-clock measurements.
+// Wall-clock microbenchmarks: the §3.6 path-creation and demux measurements
+// (E1, E2), the buffer-management ablation and the real codec. The
+// virtual-time experiments (tables, EDF, admission, queue sizing, ILP,
+// deadline choice) are reports of internal/exp's registry: `make gates` pins
+// them by digest and `go run ./cmd/mpegbench -run <name>` prints them.
 //
-// Run: go test -bench=. -benchmem
+// Run: go test -run '^$' -bench . -benchmem
 package scout_test
 
 import (
@@ -61,8 +61,9 @@ func BenchmarkE2_Demux(b *testing.B) {
 
 // The device-edge flow cache makes BenchmarkE2_Demux a cache-hit
 // measurement (Classify consults the cache first); this is the companion
-// cold-miss cost — the full hop-by-hop walk the cache short-circuits. The
-// fast-path target is hit ≤ walk/3 (see `make benchdiff`).
+// cold-miss cost — the full hop-by-hop walk the cache short-circuits.
+// `go run ./bench` records both as eth.classify_hit_ns and
+// eth.classify_walk_ns.
 func BenchmarkE2_Demux_ColdMiss(b *testing.B) {
 	k, err := exp.NewMicroKernel()
 	if err != nil {
@@ -86,8 +87,9 @@ func BenchmarkE2_Demux_ColdMiss(b *testing.B) {
 // device hands the classifier a whole same-flow burst and the in-burst memo
 // short-circuits even the flow-cache lookup for frames 2..N. The burst
 // itself is built once through the burst allocation path (fbuf.GetBurst over
-// a msg.Arena). Reported as wall-ns/pkt (amortized, target < 20) and pkts/s
-// alongside the per-op ns, which covers the whole 64-frame burst.
+// a msg.Arena). Reported as wall-ns/pkt (amortized; the ladder's
+// eth.classify_burst_ns_per_pkt) and pkts/s alongside the per-op ns, which
+// covers the whole 64-frame burst.
 func BenchmarkE2_Demux_Burst(b *testing.B) {
 	k, err := exp.NewMicroKernel()
 	if err != nil {
@@ -123,132 +125,7 @@ func BenchmarkE2_Demux_Burst(b *testing.B) {
 	b.ReportMetric(pkts/b.Elapsed().Seconds(), "pkts/s")
 }
 
-// --- E3: §3.6 object sizes (paper: path ≈300B, stage ≈150B) ---
-
-func BenchmarkE3_Footprint(b *testing.B) {
-	k, err := exp.NewMicroKernel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := exp.MeasureFootprint(k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = f
-	}
-	b.ReportMetric(float64(f.PathBytes), "path-bytes")
-	b.ReportMetric(float64(f.StageBytes), "stage-bytes")
-	b.ReportMetric(float64(f.PathLen), "stages")
-}
-
-// --- E4: Table 1 — max decode rate per clip, Scout vs baseline ---
-
-func benchTable1(b *testing.B, clip mpeg.ClipSpec, scout bool) {
-	var fps float64
-	for i := 0; i < b.N; i++ {
-		if scout {
-			fps = exp.ScoutMaxRate(clip, false)
-		} else {
-			fps = exp.BaselineMaxRate(clip)
-		}
-	}
-	b.ReportMetric(fps, "fps")
-	paper := exp.PaperTable1[clip.Name]
-	if scout {
-		b.ReportMetric(paper[0], "paper-fps")
-	} else {
-		b.ReportMetric(paper[1], "paper-fps")
-	}
-}
-
-func BenchmarkE4_Table1_Flower_Scout(b *testing.B)        { benchTable1(b, mpeg.Flower, true) }
-func BenchmarkE4_Table1_Flower_Linux(b *testing.B)        { benchTable1(b, mpeg.Flower, false) }
-func BenchmarkE4_Table1_Neptune_Scout(b *testing.B)       { benchTable1(b, mpeg.Neptune, true) }
-func BenchmarkE4_Table1_Neptune_Linux(b *testing.B)       { benchTable1(b, mpeg.Neptune, false) }
-func BenchmarkE4_Table1_RedsNightmare_Scout(b *testing.B) { benchTable1(b, mpeg.RedsNightmare, true) }
-func BenchmarkE4_Table1_RedsNightmare_Linux(b *testing.B) { benchTable1(b, mpeg.RedsNightmare, false) }
-func BenchmarkE4_Table1_Canyon_Scout(b *testing.B)        { benchTable1(b, mpeg.Canyon, true) }
-func BenchmarkE4_Table1_Canyon_Linux(b *testing.B)        { benchTable1(b, mpeg.Canyon, false) }
-
-// --- E5: Table 2 — Neptune under ping -f flood ---
-
-func BenchmarkE5_Table2(b *testing.B) {
-	var r exp.Table2Result
-	for i := 0; i < b.N; i++ {
-		r = exp.RunTable2()
-	}
-	ds, db := r.Delta()
-	b.ReportMetric(r.ScoutUnloaded, "scout-unloaded-fps")
-	b.ReportMetric(r.ScoutLoaded, "scout-loaded-fps")
-	b.ReportMetric(ds, "scout-delta-%")
-	b.ReportMetric(r.BaselineUnloaded, "linux-unloaded-fps")
-	b.ReportMetric(r.BaselineLoaded, "linux-loaded-fps")
-	b.ReportMetric(db, "linux-delta-%")
-}
-
-// --- E6: §4.3 — EDF vs single-priority RR deadline misses ---
-
-func benchEDF(b *testing.B, sched string, qlen int) {
-	var row exp.EDFRow
-	cfg := exp.EDFConfig{NeptuneFrames: 400, CanyonFrames: 600}
-	for i := 0; i < b.N; i++ {
-		rows := exp.RunEDF(cfg, []string{sched}, []int{qlen})
-		row = rows[0]
-	}
-	b.ReportMetric(float64(row.NeptuneMissed), "neptune-missed")
-	b.ReportMetric(float64(row.NeptuneTotal), "neptune-total")
-}
-
-func BenchmarkE6_EDF_Queue128(b *testing.B) { benchEDF(b, "edf", 128) }
-func BenchmarkE6_RR_Queue16(b *testing.B)   { benchEDF(b, "rr", 16) }
-func BenchmarkE6_RR_Queue128(b *testing.B)  { benchEDF(b, "rr", 128) }
-func BenchmarkE6_RR_Queue512(b *testing.B)  { benchEDF(b, "rr", 512) }
-
-// --- E7: §4.4 — admission model fit and early discard ---
-
-func BenchmarkE7_Admission(b *testing.B) {
-	var r exp.AdmissionResult
-	for i := 0; i < b.N; i++ {
-		r = exp.RunAdmission(300)
-	}
-	b.ReportMetric(r.R2, "R2")
-	b.ReportMetric(r.SlopeNsBit, "ns-per-bit")
-	b.ReportMetric(r.SavedFrac*100, "early-drop-saved-%")
-}
-
-// --- E8: §4.2 — input queue sizing (2×RTT×BW rule) ---
-
-func BenchmarkE8_QueueSizing(b *testing.B) {
-	rtt := 20 * time.Millisecond
-	var rows []exp.QueueRow
-	for i := 0; i < b.N; i++ {
-		rows = exp.RunQueueSizing([]time.Duration{rtt}, []int{2, 8, 32})
-	}
-	b.ReportMetric(rows[0].PktPerSec, "pps-qlen2")
-	b.ReportMetric(rows[1].PktPerSec, "pps-qlen8")
-	b.ReportMetric(rows[2].PktPerSec, "pps-qlen32")
-	b.ReportMetric(float64(rows[0].Predicted), "predicted-knee")
-}
-
 // --- Ablations (DESIGN.md) ---
-
-// ILP transformation on/off: per-packet path CPU.
-func BenchmarkAblation_ILP_On(b *testing.B) {
-	var d time.Duration
-	for i := 0; i < b.N; i++ {
-		d = exp.RunILP(true, 60)
-	}
-	b.ReportMetric(float64(d.Nanoseconds()), "ns-per-packet")
-}
-
-func BenchmarkAblation_ILP_Off(b *testing.B) {
-	var d time.Duration
-	for i := 0; i < b.N; i++ {
-		d = exp.RunILP(false, 60)
-	}
-	b.ReportMetric(float64(d.Nanoseconds()), "ns-per-packet")
-}
 
 // fbuf pools vs per-hop copies: the data-path buffer management choice.
 func BenchmarkAblation_Fbuf(b *testing.B) {
@@ -277,18 +154,6 @@ func BenchmarkAblation_PerHopCopy(b *testing.B) {
 		_ = out
 		m.Free()
 	}
-}
-
-// Bottleneck-queue selection for the EDF deadline (§4.3, last paragraph).
-func BenchmarkAblation_Deadline_Out(b *testing.B) { benchDeadline(b, "out") }
-func BenchmarkAblation_Deadline_Min(b *testing.B) { benchDeadline(b, "min") }
-
-func benchDeadline(b *testing.B, mode string) {
-	var row exp.EDFRow
-	for i := 0; i < b.N; i++ {
-		row = exp.RunDeadlineMode(mode, 300, 400)
-	}
-	b.ReportMetric(float64(row.NeptuneMissed), "neptune-missed")
 }
 
 // --- Codec substrate: real decode/dither throughput on this machine ---

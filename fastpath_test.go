@@ -278,3 +278,27 @@ func TestClassifyAllocFree(t *testing.T) {
 		t.Errorf("classification walk allocates %.0f times per frame, want 0", allocs)
 	}
 }
+
+// TestPathCreateAllocs pins the allocation count of §3.6's path creation
+// (BenchmarkE1_PathCreate's loop): a TEST/UDP/IP/ETH path created and
+// deleted costs 59 allocations, the same with and without the race detector.
+func TestPathCreateAllocs(t *testing.T) {
+	const budget = 59
+	k, err := exp.NewMicroKernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	testR, _ := k.Graph.Router("TEST")
+	port := 10000
+	allocs := testing.AllocsPerRun(100, func() {
+		p, err := k.Graph.CreatePath(testR, exp.TestPathAttrs(port))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Delete()
+		port++
+	})
+	if allocs > budget {
+		t.Errorf("path create + delete allocates %.0f times, budget %d", allocs, budget)
+	}
+}

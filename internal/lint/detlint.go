@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strconv"
-	"strings"
 )
 
 // DetLint enforces deterministic map iteration interprocedurally: the
@@ -19,9 +18,9 @@ import (
 //     `range` over a map there processes work in a different order each run.
 //
 //   - export scope: packages that serialize results (they import
-//     encoding/json, or are listed in detExportPkgs). Iterating a map while
-//     building a report reorders the artifact run to run, which breaks the
-//     byte-identical gates (tracegate, chaosgate, E12) and benchdiff.
+//     encoding/json). Iterating a map while building a report reorders the
+//     artifact run to run, which breaks the byte-identical digests of
+//     `make gates` and E10's trace and metrics exports.
 //
 // A map range is accepted when its body is provably order-insensitive:
 // commutative integer accumulation, per-key writes into another map, and
@@ -33,16 +32,6 @@ var DetLint = &Analyzer{
 	Doc:        "no order-nondeterministic map iteration on data-path or export call chains",
 	NeedsTypes: true,
 	Run:        runDetLint,
-}
-
-// detExportPkgs lists package-path suffixes whose whole output is a
-// deterministic artifact, beyond what the encoding/json import heuristic
-// catches (pathtop renders text tables; benchjson compare prints the
-// verdict that gates CI).
-var detExportPkgs = []string{
-	"internal/pathtrace",
-	"cmd/pathtop",
-	"cmd/benchjson",
 }
 
 func runDetLint(pass *Pass) {
@@ -72,11 +61,6 @@ func runDetLint(pass *Pass) {
 }
 
 func detExportScope(pkg *Package) bool {
-	for _, suffix := range detExportPkgs {
-		if strings.HasSuffix(pkg.Path, suffix) {
-			return true
-		}
-	}
 	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
 			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "encoding/json" {

@@ -236,9 +236,8 @@ func benchCluster(b *testing.B, shards int) {
 	}
 }
 
-// The windowed engine's raw event throughput, single- and multi-shard. The
-// events/s rate metric feeds the benchjson trajectory; on a multicore host
-// the 4-shard figure shows the parallel speedup, on one core it shows the
-// windowing overhead.
+// The windowed engine's raw event throughput, single- and multi-shard,
+// reported as events/s; on a multicore host the 4-shard figure shows the
+// parallel speedup, on one core it shows the windowing overhead.
 func BenchmarkClusterEvents1(b *testing.B) { benchCluster(b, 1) }
 func BenchmarkClusterEvents4(b *testing.B) { benchCluster(b, 4) }

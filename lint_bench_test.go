@@ -38,8 +38,8 @@ func TestScoutlintWallTime(t *testing.T) {
 }
 
 // BenchmarkScoutlint measures one full suite pass (load + type-check +
-// graph + nine analyzers) so benchdiff catches analysis slowdowns the same
-// way it catches data-path ones.
+// graph + nine analyzers): wall time and allocations behind the 10-second
+// budget TestScoutlintWallTime enforces.
 func BenchmarkScoutlint(b *testing.B) {
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
