@@ -382,15 +382,13 @@ func (k *Kernel) CreateVideoPathSet(va *VideoAttrs, subpaths int, policyName str
 // NewMigrator returns a splice.Manager that migrates this kernel's video
 // paths at the MFLOW boundary — everything below (UDP, IP, ETH) is
 // device-specific and rebuilt, everything above owns the flow state and
-// survives — with the kernel's cross-subsystem hooks wired in: trace spans
-// re-instrument onto the rebuilt stages, and MFLOW readvertises its window
-// down the fresh chain before the path resumes. Arm plans on it with
-// Manager.Arm; Kernel.Devs supplies the From/To devices in link order.
+// survives — with MFLOW readvertising its window down the fresh chain before
+// the path resumes. Trace spans, chaos faults and transformation rules need
+// no hook here: they are interposers, which the resplice re-applies to the
+// rebuilt stages. Arm plans on it with Manager.Arm; Kernel.Devs supplies the
+// From/To devices in link order.
 func (k *Kernel) NewMigrator() *splice.Manager {
 	m := splice.New(k.Eng, "MFLOW")
-	m.OnResplice = func(p *core.Path, from int) {
-		k.Tracer.ReinstrumentTail(p, from)
-	}
 	m.Readvertise = func(p *core.Path) {
 		k.MFLOW.Readvertise(p, "MFLOW")
 	}
@@ -407,24 +405,25 @@ func (k *Kernel) Degrader(p *core.Path) *routers.VideoDegrader {
 // stages and the queues are wrapped by pathtrace itself; the DISPLAY stage
 // speaks the video interface type, which pathtrace cannot wrap generically,
 // so this layer — which knows the concrete type — brackets it with
-// StageEnter/StageExit. Must run after CreatePath so the wrappers see the
-// Deliver pointers left by any transformation rules (§3.3).
+// StageEnter/StageExit. Both are interposers (core.Path.Interpose), so they
+// wrap whatever the transformation rules left and survive a resplice.
 func (k *Kernel) InstrumentPath(p *core.Path, label string) {
 	tr := k.Tracer
 	tr.InstrumentPath(p, label)
-	s := p.StageOf("DISPLAY")
-	if s == nil {
-		return
-	}
-	vi, ok := s.End[core.BWD].(*routers.VideoIface)
-	if !ok || vi == nil || vi.DeliverFrame == nil {
-		return
-	}
-	orig := vi.DeliverFrame
-	vi.DeliverFrame = func(i *routers.VideoIface, f *display.Frame) error {
-		tr.StageEnter(p, "DISPLAY", int64(f.Seq))
-		err := orig(i, f)
-		tr.StageExit(p)
-		return err
-	}
+	p.Interpose(func(_ int, s *core.Stage) {
+		if s.Router.Name != "DISPLAY" {
+			return
+		}
+		vi, ok := s.End[core.BWD].(*routers.VideoIface)
+		if !ok || vi == nil || vi.DeliverFrame == nil {
+			return
+		}
+		orig := vi.DeliverFrame
+		vi.DeliverFrame = func(i *routers.VideoIface, f *display.Frame) error {
+			tr.StageEnter(p, "DISPLAY", int64(f.Seq))
+			err := orig(i, f)
+			tr.StageExit(p)
+			return err
+		}
+	})
 }

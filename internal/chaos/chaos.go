@@ -71,7 +71,7 @@ func (in *Injector) InflateStageCPU(p *core.Path, router string, factor float64,
 	if factor <= 1 {
 		return false
 	}
-	return in.wrapStage(p, router, func(inner func(*core.NetIface, *msg.Msg) error, i *core.NetIface, m *msg.Msg) error {
+	return in.interpose(p, router, func(inner func(*core.NetIface, *msg.Msg) error, i *core.NetIface, m *msg.Msg) error {
 		now := in.eng.Now()
 		if now < from || now >= until {
 			return inner(i, m)
@@ -95,7 +95,7 @@ func (in *Injector) StallStage(p *core.Path, router string, extra time.Duration,
 	if extra <= 0 {
 		return false
 	}
-	return in.wrapStage(p, router, func(inner func(*core.NetIface, *msg.Msg) error, i *core.NetIface, m *msg.Msg) error {
+	return in.interpose(p, router, func(inner func(*core.NetIface, *msg.Msg) error, i *core.NetIface, m *msg.Msg) error {
 		now := in.eng.Now()
 		if now >= from && now < until {
 			p.ChargeExec(extra)
@@ -105,27 +105,28 @@ func (in *Injector) StallStage(p *core.Path, router string, extra time.Duration,
 	})
 }
 
-// wrapStage interposes wrap around the deliver function of both directions
-// of the named stage.
-func (in *Injector) wrapStage(p *core.Path, router string,
+// interpose registers wrap around the deliver function of both directions
+// of every stage the named router contributes to p, as a path interposer:
+// a stage a resplice rebuilds carries the fault too.
+func (in *Injector) interpose(p *core.Path, router string,
 	wrap func(inner func(*core.NetIface, *msg.Msg) error, i *core.NetIface, m *msg.Msg) error) bool {
-	s := p.StageOf(router)
-	if s == nil {
+	if p.StageOf(router) == nil {
 		return false
 	}
-	wrapped := false
-	for _, d := range []core.Direction{core.FWD, core.BWD} {
-		ni, ok := s.End[d].(*core.NetIface)
-		if !ok || ni == nil || ni.Deliver == nil {
-			continue
+	p.Interpose(func(_ int, s *core.Stage) {
+		if s.Router.Name != router {
+			return
 		}
-		inner := ni.Deliver
-		ni.Deliver = func(i *core.NetIface, m *msg.Msg) error {
-			return wrap(inner, i, m)
+		for _, e := range s.End {
+			if ni, ok := e.(*core.NetIface); ok && ni != nil && ni.Deliver != nil {
+				inner := ni.Deliver
+				ni.Deliver = func(i *core.NetIface, m *msg.Msg) error {
+					return wrap(inner, i, m)
+				}
+			}
 		}
-		wrapped = true
-	}
-	return wrapped
+	})
+	return true
 }
 
 // SqueezePool drops an fbuf pool's buffer limit to squeeze for the given

@@ -22,6 +22,7 @@ type testImpl struct {
 	route     func(r *Router, enter int, a *attr.Attrs) *NextHop
 	stageErr  error
 	onDestroy func(r *Router)
+	fuse      func(s *Stage)
 }
 
 func (t *testImpl) Services() []ServiceSpec { return t.services }
@@ -62,6 +63,7 @@ func (t *testImpl) CreateStage(r *Router, enter int, a *attr.Attrs) (*Stage, *Ne
 			t.onDestroy(r)
 		}
 	}
+	s.Fuse = t.fuse
 	var next *NextHop
 	if t.route != nil {
 		next = t.route(r, enter, a)
@@ -474,6 +476,74 @@ func TestTransformationRuleAppliedOnce(t *testing.T) {
 	}
 	if fmt.Sprint(trace) != fmt.Sprint([]string{"A+B/fused"}) {
 		t.Fatalf("trace %v, want fused only", trace)
+	}
+}
+
+// TestInterposeAcrossResplice: an interposer hooks every stage of a live
+// path once, at once, in registration order. After a Resplice it hooks only
+// the rebuilt stages, and only once they have fused, so a fused Deliver is
+// wrapped rather than replacing the wrapper; a retained stage neither fuses
+// again nor loses its wrappers. An interposer a rule registered during
+// CreatePath's phase 4 reaches the rebuilt stages too.
+func TestInterposeAcrossResplice(t *testing.T) {
+	var trace, hooked []string
+	g, a := buildChain(t, &trace, nil)
+	for _, name := range []string{"B", "C"} {
+		r, _ := g.Router(name)
+		r.Impl.(*testImpl).fuse = func(s *Stage) {
+			s.End[FWD].(*NetIface).Deliver = func(ni *NetIface, m *msg.Msg) error {
+				trace = append(trace, name+"/fused")
+				if ni.Next == nil {
+					return nil
+				}
+				return ni.DeliverNext(m)
+			}
+		}
+	}
+	hook := func(name string) func(int, *Stage) {
+		return func(i int, s *Stage) {
+			hooked = append(hooked, fmt.Sprintf("%s:%d%s", name, i, s.Router.Name))
+			ni := s.End[FWD].(*NetIface)
+			inner := ni.Deliver
+			ni.Deliver = func(ni *NetIface, m *msg.Msg) error {
+				trace = append(trace, name+">"+s.Router.Name)
+				return inner(ni, m)
+			}
+		}
+	}
+	g.AddRule(Rule{
+		Name:      "rule",
+		Guard:     func(*Path) bool { return true },
+		Transform: func(p *Path) error { p.Interpose(hook("rule")); return nil },
+	})
+	p, err := g.CreatePath(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Interpose(hook("x"))
+	if want := "[rule:0A rule:1B rule:2C x:0A x:1B x:2C]"; fmt.Sprint(hooked) != want {
+		t.Fatalf("hooked %v, want %s", hooked, want)
+	}
+
+	hooked = nil
+	if err := p.Resplice("A", nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[rule:1B rule:2C x:1B x:2C]"; fmt.Sprint(hooked) != want {
+		t.Fatalf("resplice hooked %v, want %s", hooked, want)
+	}
+	hooked = nil
+	if err := p.Resplice("B", nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[rule:2C x:2C]"; fmt.Sprint(hooked) != want {
+		t.Fatalf("second resplice hooked %v, want %s", hooked, want)
+	}
+	if err := p.Inject(FWD, msg.New(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[x>A rule>A A/fwd x>B rule>B B/fused x>C rule>C C/fused]"; fmt.Sprint(trace) != want {
+		t.Fatalf("trace %v, want %s", trace, want)
 	}
 }
 

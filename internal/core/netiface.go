@@ -36,8 +36,8 @@ type NetIface struct {
 	// the already-type-asserted neighbouring NetIface so steady-state
 	// delivery skips the per-hop dynamic dispatch (interface type assertion
 	// and nil checks). The Deliver pointer itself is still read at call time,
-	// so wrappers installed after fusion (pathtrace spans, chaos faults)
-	// compose transparently with the fused chain.
+	// so the wrappers Path.Interpose installs after fusion compose
+	// transparently with the fused chain.
 	fastNext, fastBack *NetIface
 }
 

@@ -96,7 +96,7 @@ type Path struct {
 	paused   bool
 	pausedAt string // boundary router name, for reporting
 
-	applied map[string]bool // transformation rules already applied
+	ext *pathExt // rules applied and interposers; nil until first use
 
 	// Resource accounting (§4.4). Memory is charged during creation and
 	// establishment; CPU is charged by the scheduler per execution.
@@ -283,7 +283,6 @@ func (g *Graph) CreatePath(r *Router, a *attr.Attrs) (*Path, error) {
 		graph:    g,
 		stages:   stages,
 		Attrs:    a.Clone(),
-		applied:  make(map[string]bool),
 		memLimit: int64(a.IntDefault(attr.MemLimit, 0)),
 	}
 	p.End[0], p.End[1] = stages[0], stages[len(stages)-1]
@@ -312,10 +311,9 @@ func (g *Graph) CreatePath(r *Router, a *attr.Attrs) (*Path, error) {
 	// a no-op — it caches the per-hop dispatch decisions (type assertions,
 	// nil checks) that cannot change for the lifetime of the path, and lets
 	// stages install specialized Deliver implementations. It runs before the
-	// transformation rules so rules (and later the tracing and chaos
-	// subsystems) wrap the fused pointers.
+	// transformation rules so every interposer wraps the fused pointers.
 	if !g.noFuse {
-		p.fuse()
+		p.fuse(stages)
 	}
 
 	// Phase 4: apply global transformation rules (§3.3). Semantically a
@@ -329,9 +327,10 @@ func (g *Graph) CreatePath(r *Router, a *attr.Attrs) (*Path, error) {
 
 // fuse caches each interface's next/back neighbour when it is a ready
 // NetIface (so DeliverNext/DeliverBack skip dynamic dispatch) and runs the
-// stages' Fuse hooks. Neighbours that are absent, non-net, or deliverless
-// keep the generic dispatch with its exact error behaviour.
-func (p *Path) fuse() {
+// Fuse hooks of the hooked stages: a resplice passes only the fresh ones.
+// Neighbours that are absent, non-net, or deliverless keep the generic
+// dispatch with its exact error behaviour.
+func (p *Path) fuse(hooked []*Stage) {
 	asFast := func(i Iface) *NetIface {
 		ni, ok := i.(*NetIface)
 		if !ok || ni == nil || ni.Deliver == nil {
@@ -349,7 +348,7 @@ func (p *Path) fuse() {
 			ni.fastBack = asFast(ni.Back)
 		}
 	}
-	for _, st := range p.stages {
+	for _, st := range hooked {
 		if st.Fuse != nil {
 			st.Fuse(st)
 		}
@@ -412,15 +411,16 @@ func (p *Path) Resume() {
 //
 // The caller is expected to hold the path paused at the boundary (PauseAt),
 // and owns the control-plane fan-out that core cannot do: invalidating the
-// old and new devices' flow caches, re-wiring trace spans, and nudging the
-// transport (see internal/splice). a nil a resplices against p.Attrs.
+// old and new devices' flow caches and nudging the transport (see
+// internal/splice). a nil a resplices against p.Attrs.
 //
 // Ordering matters: the retired stages are destroyed *first*, in reverse
 // creation order, so their external registrations (UDP's demux binding)
 // are released before the fresh stages re-claim them. The phase-2 wiring
 // pass then re-runs over the whole path — it is idempotent for retained
 // stages — and, if the path was fused, fusion re-runs so the retained
-// boundary stage's cached fast pointers aim at the new chain.
+// boundary stage's cached fast pointers aim at the new chain. Last, every
+// interposer runs on the fresh stages (see Interpose).
 //
 // On error the path is left with its upper stages intact but the lower
 // chain incomplete; the only safe continuation is Destroy.
@@ -466,7 +466,14 @@ func (p *Path) Resplice(boundary string, a *attr.Attrs) error {
 		}
 	}
 	if p.fused {
-		p.fuse()
+		p.fuse(fresh)
+	}
+	if p.ext != nil {
+		for _, fn := range p.ext.interposers {
+			for i := idx + 1; i < len(p.stages); i++ {
+				fn(i, p.stages[i])
+			}
+		}
 	}
 	return nil
 }

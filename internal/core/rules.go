@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Rule is a global transformation rule (§2.2, §3.3): a ⟨guard,
 // transformation⟩ pair. After a path is established, the graph evaluates
@@ -8,7 +11,8 @@ import "fmt"
 // transformation is applied and the process repeats until all guards are
 // false. Transformations are semantically neutral — they typically swap
 // interface function pointers for fused/specialized code (integrated layer
-// processing) or adjust resource parameters.
+// processing) or adjust resource parameters. A transformation that rewrites
+// stages does so through Path.Interpose, so a resplice re-applies it.
 type Rule struct {
 	// Name identifies the rule; a rule is applied at most once per path,
 	// which is how well-behaved transformations make their guard false.
@@ -37,13 +41,16 @@ func (g *Graph) applyRules(p *Path) error {
 	for round := 0; ; round++ {
 		fired := false
 		for _, r := range g.rules {
-			if p.applied[r.Name] || !r.Guard(p) {
+			if p.Transformed(r.Name) || !r.Guard(p) {
 				continue
 			}
 			if err := r.Transform(p); err != nil {
 				return fmt.Errorf("core: transform %q: %w", r.Name, err)
 			}
-			p.applied[r.Name] = true
+			if p.ext == nil {
+				p.ext = &pathExt{}
+			}
+			p.ext.applied = append(p.ext.applied, r.Name)
 			fired = true
 		}
 		if !fired {
@@ -56,7 +63,32 @@ func (g *Graph) applyRules(p *Path) error {
 }
 
 // Transformed reports whether the named rule was applied to p.
-func (p *Path) Transformed(rule string) bool { return p.applied[rule] }
+func (p *Path) Transformed(rule string) bool {
+	return p.ext != nil && slices.Contains(p.ext.applied, rule)
+}
+
+// pathExt is what only some paths carry, behind one pointer allocated on
+// first use: the rules applied to them and their interposers.
+type pathExt struct {
+	applied     []string
+	interposers []func(i int, s *Stage)
+}
+
+// Interpose is the one way to rewrite a path's stages from outside their
+// routers (§3.3's function-pointer swap), for rules, tracing and faults
+// alike. fn runs at once on every stage in stage order, and again on each
+// stage a later Resplice rebuilds, once it is wired, established and fused.
+// Interposers run in registration order; a retained stage is never hooked
+// twice.
+func (p *Path) Interpose(fn func(i int, s *Stage)) {
+	if p.ext == nil {
+		p.ext = &pathExt{}
+	}
+	p.ext.interposers = append(p.ext.interposers, fn)
+	for i, s := range p.stages {
+		fn(i, s)
+	}
+}
 
 // HasSequence reports whether the path's stages contain the given router
 // names consecutively in creation order — the typical guard condition

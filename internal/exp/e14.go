@@ -15,9 +15,10 @@ import (
 // E14: live path migration. The link under a reliable Neptune stream is
 // administratively killed mid-clip. netdev's receive-silence detector
 // raises the verdict on the virtual clock, splice pauses the path at the
-// MFLOW boundary, resplices UDP/IP/ETH onto the second NIC, invalidates
-// both device flow caches, re-wires trace spans, readvertises the window,
-// and resumes — no teardown, the flow state and every queued fbuf survive.
+// MFLOW boundary, resplices UDP/IP/ETH onto the second NIC (which re-applies
+// the path's interposers to them), invalidates both device flow caches,
+// readvertises the window, and resumes — no teardown, the flow state and
+// every queued fbuf survive.
 // The sender, meanwhile, fails its subflow over after a fixed number of
 // loss signals, and MFLOW's ordinary recovery (fast retransmit + RTO)
 // repairs the packets the dead link swallowed. The gate: exactly one

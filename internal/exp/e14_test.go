@@ -136,3 +136,43 @@ func TestDestroyBeforeVerdictSkipsMigration(t *testing.T) {
 		t.Errorf("audit after destroy-before-verdict: %s", v.String())
 	}
 }
+
+// TestStallSurvivesMigration: a chaos stall on the UDP stage is a path
+// interposer, so the UDP stage the migration rebuilds carries it too. The
+// link dies at 250ms, the path migrates about 47ms later, and the sender
+// fails over to subflow 1 at 320ms; stalled deliveries must keep counting
+// after that, as the rebuilt stage carries the traffic.
+func TestStallSurvivesMigration(t *testing.T) {
+	w, p := newE14TestWorld(300)
+	mig := w.k.NewMigrator()
+	if err := mig.Arm(splice.Plan{
+		Path: p, From: w.k.Devs[0], To: w.k.Devs[1], ToLink: 1, Silence: e14Silence,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src := w.streams[0].src
+	active := 0
+	src.Dispatch = func(uint32, bool) int { return active }
+	w.eng.At(sim.Time(e14KillAt), w.links[0].SetDown)
+	w.eng.At(sim.Time(320*time.Millisecond), func() {
+		active = 1
+		src.RedispatchUnacked()
+	})
+	inj := chaos.New(w.eng)
+	if !inj.StallStage(p, "UDP", time.Microsecond, 0, sim.Time(time.Hour)) {
+		t.Fatal("no UDP stage to stall")
+	}
+	var at400 int64
+	w.eng.At(sim.Time(400*time.Millisecond), func() { at400 = inj.Stats().StalledCalls })
+	w.play(10 * time.Minute)
+
+	if n := len(mig.Migrations()); n != 1 {
+		t.Fatalf("%d migrations, want 1", n)
+	}
+	if s := w.streams[0]; s.sink.Displayed() != s.total {
+		t.Fatalf("displayed %d/%d frames", s.sink.Displayed(), s.total)
+	}
+	if end := inj.Stats().StalledCalls; end <= at400 {
+		t.Errorf("stalled deliveries: %d at 400ms, %d at the end; the rebuilt UDP stage lost the stall", at400, end)
+	}
+}

@@ -9,10 +9,11 @@
 // byte-for-byte deterministic under a fixed seed.
 //
 // Instrumentation is attach-on-demand: InstrumentPath wraps a path's
-// NetIface Deliver pointers (the same mutable function-pointer mechanism
-// §3.3's transformation rules use) and installs observers on its four
-// queues. Paths that are not instrumented — and every path when the tracer
-// is disabled — pay only a nil-check on the hot path and allocate nothing.
+// NetIface Deliver pointers through core.Path.Interpose (the hook §3.3's
+// transformation rules use, which a resplice re-applies to the stages it
+// rebuilds) and installs observers on its four queues. Paths that are not
+// instrumented — and every path when the tracer is disabled — pay only a
+// nil-check on the hot path and allocate nothing.
 //
 // Layering: core cannot import sim (see DESIGN.md), so the hooks core
 // exposes are clock-agnostic function fields; this package, which sits
@@ -241,10 +242,11 @@ func (t *Tracer) emit(ev Event) int {
 // NetIface has its Deliver wrapped in a span, and all four queues get
 // depth/wait observers. Stage ends with other interface types (e.g.
 // DISPLAY's video interface) are registered but not wrapped; the layer that
-// knows their concrete type brackets them with StageEnter/StageExit.
-// Instrumenting must happen after CreatePath returns, so the wrappers see
-// the Deliver pointers left by any transformation rules. label may be empty
-// (the path's String is used). Re-instrumenting a pid is a no-op.
+// knows their concrete type brackets them with StageEnter/StageExit. The
+// wrapping is an interposer (core.Path.Interpose): a stage a resplice
+// rebuilds is wrapped again and keeps its row, so trace IDs stay stable
+// across a migration while the row's name follows the new router. label may
+// be empty (the path's String is used). Re-instrumenting a pid is a no-op.
 func (t *Tracer) InstrumentPath(p *core.Path, label string) {
 	if t == nil || !t.enabled || p == nil {
 		return
@@ -256,81 +258,34 @@ func (t *Tracer) InstrumentPath(p *core.Path, label string) {
 		label = p.String()
 	}
 	pi := &PathInfo{PID: p.PID, Label: label}
-	for i, s := range p.Stages() {
-		name := "?"
-		if s.Router != nil {
-			name = s.Router.Name
+	p.Interpose(func(i int, s *core.Stage) {
+		for len(pi.Stages) <= i {
+			pi.Stages = append(pi.Stages, &StageMetrics{tid: 1 + len(pi.Stages)})
 		}
-		sm := &StageMetrics{Stage: name, tid: 1 + i}
-		pi.Stages = append(pi.Stages, sm)
-		for d := 0; d < 2; d++ {
-			ni, ok := s.End[d].(*core.NetIface)
+		sm := pi.Stages[i]
+		sm.Stage = s.Router.Name
+		for _, e := range s.End {
+			ni, ok := e.(*core.NetIface)
 			if !ok || ni == nil || ni.Deliver == nil {
 				continue
 			}
-			t.wrap(pi, sm, p, ni)
+			orig := ni.Deliver
+			ni.Deliver = func(ni *core.NetIface, m *msg.Msg) error {
+				if !t.enabled {
+					return orig(ni, m)
+				}
+				t.enter(pi, sm, p, m.Trace)
+				err := orig(ni, m)
+				t.exit(p)
+				return err
+			}
 		}
-	}
+	})
 	for qi := range p.Q {
 		t.hookQueue(pi, p, qi)
 	}
 	t.paths[p.PID] = pi
 	t.order = append(t.order, pi)
-}
-
-// ReinstrumentTail re-attaches the tracer to p's stages from index from
-// onward, after a resplice replaced them with fresh (unwrapped) ones. The
-// StageMetrics rows at those indices are retained — same trace IDs, so
-// exported traces stay stable across a migration — but their names refresh
-// to the new routers and their NetIface Deliver pointers get wrapped anew.
-// Rows beyond the new stage count simply stop accruing. A pid that was
-// never instrumented, or a disabled tracer, is a no-op.
-func (t *Tracer) ReinstrumentTail(p *core.Path, from int) {
-	if t == nil || !t.enabled || p == nil || from < 0 {
-		return
-	}
-	pi := t.paths[p.PID]
-	if pi == nil {
-		return
-	}
-	stages := p.Stages()
-	for i := from; i < len(stages); i++ {
-		s := stages[i]
-		name := "?"
-		if s.Router != nil {
-			name = s.Router.Name
-		}
-		var sm *StageMetrics
-		if i < len(pi.Stages) {
-			sm = pi.Stages[i]
-			sm.Stage = name
-		} else {
-			sm = &StageMetrics{Stage: name, tid: 1 + i}
-			pi.Stages = append(pi.Stages, sm)
-		}
-		for d := 0; d < 2; d++ {
-			ni, ok := s.End[d].(*core.NetIface)
-			if !ok || ni == nil || ni.Deliver == nil {
-				continue
-			}
-			t.wrap(pi, sm, p, ni)
-		}
-	}
-}
-
-// wrap replaces ni.Deliver with a traced version — the same function-pointer
-// substitution mechanism §3.3's path transformation rules use.
-func (t *Tracer) wrap(pi *PathInfo, sm *StageMetrics, p *core.Path, ni *core.NetIface) {
-	orig := ni.Deliver
-	ni.Deliver = func(i *core.NetIface, m *msg.Msg) error {
-		if !t.enabled {
-			return orig(i, m)
-		}
-		t.enter(pi, sm, p, m.Trace)
-		err := orig(i, m)
-		t.exit(p)
-		return err
-	}
 }
 
 func (t *Tracer) enter(pi *PathInfo, sm *StageMetrics, p *core.Path, msgID int64) {

@@ -320,18 +320,11 @@ func (sd *udpStage) input(i *core.NetIface, m *msg.Msg) error {
 	return i.DeliverNext(m)
 }
 
-// DisableRxChecksumCharge is used by the ILP transformation: the UDP stage
-// of path p stops verifying (and charging for) the checksum because the
-// reader above has integrated it into its data loop (§4.1).
-func DisableRxChecksumCharge(p *core.Path, routerName string) bool {
-	s := p.StageOf(routerName)
-	if s == nil {
-		return false
+// DisableRxChecksumCharge is used by the ILP transformation: UDP stage s
+// stops verifying (and charging for) the checksum because the reader above
+// has integrated it into its data loop (§4.1).
+func DisableRxChecksumCharge(s *core.Stage) {
+	if sd, ok := s.Data.(*udpStage); ok {
+		sd.verifyRx = false
 	}
-	sd, ok := s.Data.(*udpStage)
-	if !ok {
-		return false
-	}
-	sd.verifyRx = false
-	return true
 }

@@ -236,6 +236,10 @@ func (sd *displayStage) flusher(inQ *core.Queue, t *sched.Thread) func() {
 	p := sd.path
 	outQ := p.Q[core.QOutBWD]
 	return func() {
+		if p.Dead() { // destroyed mid-execution: its queues are drained for good
+			sd.pending = sd.pending[:0]
+			return
+		}
 		for _, f := range sd.pending {
 			if sd.impl.OnFrameDone != nil {
 				sd.impl.OnFrameDone(p, f, sd.cpuAcc)

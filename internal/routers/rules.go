@@ -12,7 +12,8 @@ import (
 // once instead of twice. The transformation is expressed exactly as the
 // paper describes — a guard matching the stage sequence and a transform
 // that swaps the processing functions (here: disables UDP's separate
-// verification pass, whose cost the fused read absorbs for free).
+// verification pass, whose cost the fused read absorbs for free) on every
+// UDP stage the path has now or gets from a resplice.
 func ILPRule(mpegName, mflowName, udpName string) core.Rule {
 	return core.Rule{
 		Name: "ilp-udp-cksum-into-mpeg",
@@ -20,7 +21,11 @@ func ILPRule(mpegName, mflowName, udpName string) core.Rule {
 			return p.HasSequence(mpegName, mflowName, udpName)
 		},
 		Transform: func(p *core.Path) error {
-			udp.DisableRxChecksumCharge(p, udpName)
+			p.Interpose(func(_ int, s *core.Stage) {
+				if s.Router.Name == udpName {
+					udp.DisableRxChecksumCharge(s)
+				}
+			})
 			return nil
 		},
 	}

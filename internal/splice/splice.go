@@ -6,12 +6,13 @@
 // deterministic failure detector the manager pauses the path at a stage
 // boundary (queued messages and their fbuf references stay exactly where
 // they are), rebuilds the stages below the boundary against a healthy
-// device (core.Path.Resplice), fans invalidation into both the retired and
-// the adopting device's flow caches (generation bump, so stale burst memos
-// can never deliver), re-wires trace spans and nudges the transport through
-// injected hooks, and resumes. No teardown, no re-handshake: the flow's
-// sequence space, hold buffer and advertised window all live in the
-// retained upper stages.
+// device (core.Path.Resplice, which re-applies every interposer — trace
+// spans, chaos faults, transformation rules — to the rebuilt stages), fans
+// invalidation into both the retired and the adopting device's flow caches
+// (generation bump, so stale burst memos can never deliver), nudges the
+// transport through an injected hook, and resumes. No teardown, no
+// re-handshake: the flow's sequence space, hold buffer and advertised window
+// all live in the retained upper stages.
 //
 // The whole migration runs synchronously inside one virtual-clock event, so
 // the end-to-end outage is dominated by detection latency — the silence
@@ -67,18 +68,15 @@ type Migration struct {
 
 // Manager performs pause→resplice→invalidate→resume migrations for the
 // paths armed with it. It is an appliance-scoped control-plane object; the
-// appliance wires its hooks (trace re-instrumentation, transport
-// readvertisement) so splice depends on neither pathtrace nor mflow.
+// appliance wires the transport's readvertisement hook so splice does not
+// depend on mflow.
 type Manager struct {
 	eng      *sim.Engine
 	boundary string
 
-	// OnResplice, when non-nil, runs after a successful resplice with the
-	// index of the first rebuilt stage — the tracer re-wraps its spans here.
-	OnResplice func(p *core.Path, from int)
-	// Readvertise, when non-nil, runs after OnResplice, before Resume — the
-	// transport sends an unsolicited window advertisement down the fresh
-	// chain so the sender learns the receiver survived.
+	// Readvertise, when non-nil, runs after a successful resplice, before
+	// Resume — the transport sends an unsolicited window advertisement down
+	// the fresh chain so the sender learns the receiver survived.
 	Readvertise func(p *core.Path)
 
 	migrations []Migration
@@ -134,7 +132,7 @@ func (m *Manager) Arm(pl Plan) error {
 
 // migrate is the whole migration, synchronous within the triggering event:
 // mark the downed subpaths dead, pause, resplice onto the new device,
-// invalidate both flow caches, re-wire traces, readvertise, resume.
+// invalidate both flow caches, readvertise, resume.
 func (m *Manager) migrate(pl Plan, detect time.Duration) {
 	p := pl.Path
 	if p.Dead() {
@@ -146,13 +144,6 @@ func (m *Manager) migrate(pl Plan, detect time.Duration) {
 	if err := p.PauseAt(m.boundary); err != nil {
 		m.failed++
 		return
-	}
-	from := -1
-	for i, s := range p.Stages() {
-		if s.Router != nil && s.Router.Name == m.boundary {
-			from = i + 1
-			break
-		}
 	}
 	a := p.Attrs.Clone()
 	a.Set(attr.MPathLink, pl.ToLink)
@@ -174,9 +165,6 @@ func (m *Manager) migrate(pl Plan, detect time.Duration) {
 	}
 	if pl.To.Flows != nil {
 		pl.To.Flows.InvalidatePath(p)
-	}
-	if m.OnResplice != nil {
-		m.OnResplice(p, from)
 	}
 	if m.Readvertise != nil {
 		m.Readvertise(p)
