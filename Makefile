@@ -50,13 +50,15 @@ lintgraph:
 	$(GO) run ./cmd/scoutlint -graph $(LINTGRAPH) ./...
 
 # benchsmoke runs one iteration of the wall-clock microbenchmarks (path
-# create, the three demux benches, the checksum kernel, and the disabled
-# tracer's hot path, whose nil guards every untraced path pays) to prove they
-# still run; timings at -benchtime=1x are indicative only.
+# create, the three demux benches, the checksum kernel, the disabled tracer's
+# hot path, whose nil guards every untraced path pays, and one fire-and-forget
+# event's round trip, whose line reads 0 allocs/op) to prove they still run;
+# timings at -benchtime=1x are indicative only.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkE1|BenchmarkE2' -benchmem -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkSum -benchmem -benchtime 1x ./internal/proto/inet
 	$(GO) test -run '^$$' -bench BenchmarkDisabledHotPath -benchmem -benchtime 1x ./internal/pathtrace
+	$(GO) test -run '^$$' -bench BenchmarkScheduleAndRun -benchmem -benchtime 1x ./internal/sim
 
 # gates is the determinism gate, in one process: every experiment in
 # internal/exp's registry runs twice at CI size and must print the same bytes

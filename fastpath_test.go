@@ -16,6 +16,7 @@ import (
 	"scout/internal/core"
 	"scout/internal/exp"
 	"scout/internal/fbuf"
+	"scout/internal/host"
 	"scout/internal/mpeg"
 	"scout/internal/msg"
 	"scout/internal/netdev"
@@ -24,6 +25,7 @@ import (
 	"scout/internal/proto/ip"
 	"scout/internal/proto/mflow"
 	"scout/internal/proto/udp"
+	"scout/internal/sim"
 )
 
 // diffClassify asserts the differential property on one frame: the cached
@@ -220,6 +222,68 @@ func TestReceivePathZeroAlloc(t *testing.T) {
 	inject() // prime decoder state and pools before measuring
 	if allocs := testing.AllocsPerRun(100, inject); allocs != 0 {
 		t.Errorf("steady-state receive allocates %.0f times per frame, want 0", allocs)
+	}
+}
+
+// TestGeneratedTrafficZeroAlloc gates the packet loop around the receive
+// path: a raw NIC fed by a self-rescheduling After generator, a jittered link
+// whose no-overtaking clamp lands several frames on one instant, the burst
+// classifier, and eight TEST paths taking runs of four. Once warm a packet
+// allocates nothing anywhere: not its generator event, not the link's
+// arrival event, not its receive.
+func TestGeneratedTrafficZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool bypass its caches")
+	}
+	eng := sim.New(3)
+	link := netdev.NewLink(eng, netdev.LinkConfig{
+		BitsPerSec: 1_000_000_000, Delay: 20 * time.Microsecond, Jitter: 100 * time.Microsecond,
+	})
+	k, err := appliance.Boot(eng, link, appliance.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A host, so that the appliance's ARP requests are answered; the
+	// generator transmits through its raw device.
+	src := host.New(link, netdev.MAC{2, 0, 0, 0, 0, 0x20}, inet.Addr{10, 0, 0, 20})
+	testR, _ := k.Graph.Router("TEST")
+	frames := make([][]byte, 8)
+	for i := range frames {
+		if _, err := k.Graph.CreatePath(testR, exp.TestPathAttrs(9300+i)); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = exp.BuildVideoFrame(k, uint16(9300+i), 0).CopyOut()
+	}
+	pool := fbuf.NewPool(len(frames[0]), 0, 512, 0)
+	sent := 0
+	var fire func()
+	fire = func() {
+		m, err := pool.Get(len(frames[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(m.Bytes(), frames[sent/4%len(frames)])
+		src.Dev.Transmit(k.Cfg.MAC, m)
+		sent++
+		eng.After(16*time.Microsecond, fire)
+	}
+	eng.At(0, fire)
+	packet := func() {
+		for n := sent; sent == n; {
+			eng.Step()
+		}
+	}
+	for i := 0; i < 5000; i++ { // size the queues, rings and free lists
+		packet()
+	}
+	if allocs := testing.AllocsPerRun(2000, packet); allocs != 0 {
+		t.Errorf("steady-state generated traffic allocates %.0f times per packet, want 0", allocs)
+	}
+	if got, want := k.Test.Received, int64(sent)-100; got < want {
+		t.Fatalf("TEST paths absorbed %d of %d packets sent", got, sent)
+	}
+	if bursts, n := k.Dev.BurstStats(); n <= bursts {
+		t.Fatalf("%d frames in %d bursts: the jitter never batched a burst", n, bursts)
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"scout/internal/core"
 	"scout/internal/host"
 	"scout/internal/mpeg"
+	"scout/internal/msg"
 	"scout/internal/netdev"
+	"scout/internal/proto/eth"
 	"scout/internal/proto/inet"
 	"scout/internal/proto/mflow"
 	"scout/internal/routers"
@@ -373,6 +375,82 @@ func TestReassemblyPathRebuildsDatagram(t *testing.T) {
 		t.Fatalf("TEST received %d msgs / %d bytes, want 1/3000", ti.Received, ti.Bytes)
 	}
 	_ = p
+}
+
+// TestReassemblyLeavesNoTimer: a completed datagram cancels its entry's
+// expiry (and the peer's answered ARP query its retry), so the engine holds
+// exactly what it held before the fragments came.
+func TestReassemblyLeavesNoTimer(t *testing.T) {
+	eng, k, h := bootPair(t, netdev.LinkConfig{}, DefaultConfig())
+	testR, _ := k.Graph.Router("TEST")
+	if _, err := k.Graph.CreatePath(testR, attrsFor(peerAddr, 7200, 7201)); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(5 * time.Millisecond))
+	before := eng.Pending()
+	eng.At(eng.Now(), func() { sendFragmentedUDP(h, k.Cfg.Addr, 7201, 7200, 3000) })
+	eng.RunUntil(sim.Time(time.Second + 5*time.Millisecond)) // between vsyncs, as before
+	if st := k.IP.Stats(); st.Reassembled != 1 || st.ReasmTimeouts != 0 {
+		t.Fatalf("reassembled %d, timed out %d; want 1 and 0", st.Reassembled, st.ReasmTimeouts)
+	}
+	if got := eng.Pending(); got != before {
+		t.Fatalf("%d events pending after the datagram completed, %d before it", got, before)
+	}
+}
+
+// TestARPRetryTimer: the resolver's retry timer is an owner-held event. An
+// answered request leaves nothing queued; an unanswered one goes out Retries
+// times, each gap double the one before, and fails its callback one more
+// doubled gap after the last.
+func TestARPRetryTimer(t *testing.T) {
+	eng, k, _ := bootPair(t, netdev.LinkConfig{}, DefaultConfig())
+	// Pending is compared between vsyncs, when the display thread is idle.
+	eng.RunUntil(sim.Time(5 * time.Millisecond))
+	before := eng.Pending()
+	var mac netdev.MAC
+	eng.At(eng.Now(), func() { k.ARP.Resolve(peerAddr, func(m netdev.MAC, ok bool) { mac = m }) })
+	eng.RunUntil(sim.Time(105 * time.Millisecond))
+	if mac != peerMAC {
+		t.Fatalf("resolved %v, want %v", mac, peerMAC)
+	}
+	if got := eng.Pending(); got != before {
+		t.Fatalf("%d events pending after the answer, %d before the request", got, before)
+	}
+
+	var requests []sim.Time
+	sniffer := netdev.NewDevice(k.Link, netdev.MAC{2, 0, 0, 0, 0, 0x99}, nil)
+	sniffer.OnReceive = func(m *msg.Msg) {
+		if fh, err := eth.Parse(m.Bytes()); err == nil && fh.Type == inet.EtherTypeARP {
+			requests = append(requests, eng.Now())
+		}
+		m.Free()
+	}
+	start, failed := eng.Now(), sim.Never
+	eng.At(start, func() {
+		k.ARP.Resolve(inet.IP(10, 0, 0, 99), func(_ netdev.MAC, ok bool) {
+			if !ok {
+				failed = eng.Now()
+			}
+		})
+	})
+	eng.RunUntil(start.Add(10 * time.Second))
+	if len(requests) != k.ARP.Retries {
+		t.Fatalf("%d requests on the wire, want %d", len(requests), k.ARP.Retries)
+	}
+	gap, total := k.ARP.RequestTimeout, time.Duration(0)
+	for i := 1; i < len(requests); i++ {
+		if got := requests[i].Sub(requests[i-1]); got != gap {
+			t.Errorf("retry %d came %v after the one before, want %v", i, got, gap)
+		}
+		total += gap
+		gap *= 2
+	}
+	if want := start.Add(total + gap); failed != want {
+		t.Errorf("callback failed at %v, want %v", failed, want)
+	}
+	if got := eng.Pending(); got != before {
+		t.Errorf("%d events pending after the request failed, %d before it", got, before)
+	}
 }
 
 func TestUDPChecksumRejectsCorruption(t *testing.T) {

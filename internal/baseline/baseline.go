@@ -107,7 +107,8 @@ type Stack struct {
 	FB  *display.Device
 
 	backlog       *core.Queue
-	softirqQueued bool
+	softirq       sim.Event // the pending softirq kick, owner-held
+	softirqFn     func()    // s.runSoftirq, bound once
 	softirqFreeAt sim.Time
 	sockets       map[uint16]*Socket
 	arpCache      map[inet.Addr]netdev.MAC
@@ -140,6 +141,7 @@ func New(eng *sim.Engine, link *netdev.Link, cfg Config) *Stack {
 		sockets:  make(map[uint16]*Socket),
 		arpCache: make(map[inet.Addr]netdev.MAC),
 	}
+	s.softirqFn = s.runSoftirq
 	s.CPU = sched.New(eng)
 	sched.AddDefaultPolicies(s.CPU, 8, 50, 50)
 	s.Dev = netdev.NewDevice(link, cfg.MAC, s.CPU)
@@ -163,11 +165,10 @@ func (s *Stack) rxInterrupt(m *msg.Msg) {
 }
 
 func (s *Stack) kickSoftirq() {
-	if s.softirqQueued {
+	if s.softirq.Queued() {
 		return
 	}
-	s.softirqQueued = true
-	s.Eng.At(s.Eng.Now(), s.runSoftirq)
+	s.Eng.Rearm(&s.softirq, s.Eng.Now(), s.softirqFn)
 }
 
 // runSoftirq drains the backlog at interrupt priority: its CPU cost is
@@ -178,7 +179,6 @@ func (s *Stack) kickSoftirq() {
 // flooding peer sees replies at the rate the CPU can produce them, not at
 // wire speed.
 func (s *Stack) runSoftirq() {
-	s.softirqQueued = false
 	for {
 		item := s.backlog.Dequeue()
 		if item == nil {

@@ -165,7 +165,7 @@ type arpQuery struct {
 	callbacks []func(netdev.MAC)
 	tries     int
 	timeout   time.Duration
-	timer     *sim.Event
+	timer     sim.Event // owner-held
 }
 
 // Resolve maps an IP address to a MAC via ARP, invoking fn when known. A
@@ -201,14 +201,14 @@ func (h *Host) transmitARP(dst inet.Addr, q *arpQuery) {
 	copy(req[24:28], dst[:])
 	h.sendFrame(netdev.Broadcast, inet.EtherTypeARP, req)
 	if q.tries >= h.ARPRetries {
-		q.timer = h.eng.After(q.timeout, func() {
+		h.eng.Rearm(&q.timer, h.eng.Now().Add(q.timeout), func() {
 			if h.arpPending[dst] == q {
 				delete(h.arpPending, dst) // give up; queued sends are dropped
 			}
 		})
 		return
 	}
-	q.timer = h.eng.After(q.timeout, func() {
+	h.eng.Rearm(&q.timer, h.eng.Now().Add(q.timeout), func() {
 		if h.arpPending[dst] != q {
 			return // resolved meanwhile
 		}
@@ -231,9 +231,7 @@ func (h *Host) handleARP(b []byte) {
 	h.arpCache[senderIP] = senderMAC
 	if q, ok := h.arpPending[senderIP]; ok {
 		delete(h.arpPending, senderIP)
-		if q.timer != nil {
-			q.timer.Cancel()
-		}
+		q.timer.Cancel()
 		for _, fn := range q.callbacks {
 			fn(senderMAC)
 		}

@@ -28,7 +28,7 @@ type TCPConn struct {
 	sentFin bool
 	finSeq  uint32
 	rtxQ    []clientSeg
-	rtxEv   *sim.Event
+	rtxEv   sim.Event // owner-held; armed while rtxQ is non-empty
 
 	// Received accumulates in-order payload bytes.
 	Received []byte
@@ -110,17 +110,13 @@ func (c *TCPConn) pump() {
 
 func (c *TCPConn) armRtx() {
 	if len(c.rtxQ) == 0 {
-		if c.rtxEv != nil {
-			c.rtxEv.Cancel()
-			c.rtxEv = nil
-		}
+		c.rtxEv.Cancel()
 		return
 	}
-	if c.rtxEv != nil {
+	if c.rtxEv.Queued() {
 		return
 	}
-	c.rtxEv = c.h.eng.After(c.RTO, func() {
-		c.rtxEv = nil
+	c.h.eng.Rearm(&c.rtxEv, c.h.eng.Now().Add(c.RTO), func() {
 		if len(c.rtxQ) == 0 || c.state == 4 {
 			return
 		}
@@ -193,10 +189,7 @@ func (c *TCPConn) input(h tcp.Header, payload []byte) {
 			}
 		}
 		c.rtxQ = keep
-		if c.rtxEv != nil {
-			c.rtxEv.Cancel()
-			c.rtxEv = nil
-		}
+		c.rtxEv.Cancel()
 		c.armRtx()
 	}
 

@@ -245,7 +245,7 @@ func (l *Link) schedule(src *Device, dst MAC, m *msg.Msg, txEnd sim.Time, fs *fa
 	// ring). Asking the engine what else is pending would make the event
 	// count depend on what shares the shard.
 	if l.n == 0 || arrive != l.lastArrival {
-		l.eng.Schedule(arrive, l.arriveFn)
+		l.eng.At(arrive, l.arriveFn)
 	}
 	l.lastArrival = arrive
 	if l.n == len(l.ring) {
@@ -377,6 +377,8 @@ type Device struct {
 	silence      time.Duration
 	lastRx       sim.Time
 	ldFired      bool
+	silenceEv    sim.Event // the detector's one owner-held check
+	silenceFn    func()    // d.checkSilence, bound once
 
 	burst       []*msg.Msg // frames landed since the last flush
 	bursts      int64      // bursts handled (receive interrupt entries)
@@ -450,16 +452,20 @@ func (d *Device) fireLinkDown() {
 
 // ArmSilence arms the receive-silence detector: if no frame arrives for
 // timeout of virtual time, OnLinkDown fires. Every arrival pushes the window
-// forward. The timer chain re-arms itself lazily (no cancellation), so the
-// event pattern — and therefore the run — is deterministic for a given
-// arrival sequence.
+// forward. The detector is one owner-held event that re-arms itself lazily
+// (no cancellation), so the event pattern — and therefore the run — is
+// deterministic for a given arrival sequence. Arming again restarts the
+// window; it never starts a second check.
 func (d *Device) ArmSilence(timeout time.Duration) {
 	if timeout <= 0 {
 		return
 	}
 	d.silence = timeout
 	d.lastRx = d.eng.Now()
-	d.eng.At(d.eng.Now().Add(timeout), d.checkSilence)
+	if d.silenceFn == nil {
+		d.silenceFn = d.checkSilence
+	}
+	d.eng.Rearm(&d.silenceEv, d.eng.Now().Add(timeout), d.silenceFn)
 }
 
 func (d *Device) checkSilence() {
@@ -471,7 +477,7 @@ func (d *Device) checkSilence() {
 		d.fireLinkDown()
 		return
 	}
-	d.eng.At(deadline, d.checkSilence)
+	d.eng.Rearm(&d.silenceEv, deadline, d.silenceFn)
 }
 
 // receive lands one frame in the device's burst; the link flushes it once

@@ -23,6 +23,7 @@ import (
 	"scout/internal/proto/eth"
 	"scout/internal/proto/inet"
 	"scout/internal/sched"
+	"scout/internal/sim"
 )
 
 // NSIfaceType is the name-service interface type ("nsProvider"/"nsClient"
@@ -106,7 +107,7 @@ type resolution struct {
 	callbacks []func(netdev.MAC, bool)
 	tries     int
 	timeout   time.Duration // doubles per retry, starting at RequestTimeout
-	timer     interface{ Cancel() }
+	timer     sim.Event     // the retry timer, owner-held
 }
 
 // New returns an ARP router for a host with address addr, scheduling its
@@ -243,9 +244,7 @@ func (a *Impl) learn(al *arpLink, ip inet.Addr, mac netdev.MAC) {
 	a.router.Graph.InvalidateFlows()
 	if res, ok := al.pending[ip]; ok {
 		delete(al.pending, ip)
-		if res.timer != nil {
-			res.timer.Cancel()
-		}
+		res.timer.Cancel()
 		for _, cb := range res.callbacks {
 			cb(mac, true)
 		}
@@ -317,7 +316,8 @@ func (a *Impl) transmitRequest(al *arpLink, ip inet.Addr, res *resolution) {
 	a.send(al, req, netdev.Broadcast)
 	timeout := res.timeout
 	res.timeout *= 2 // exponential backoff: don't flood a silent subnet
-	res.timer = a.cpu.Engine().After(timeout, func() {
+	eng := a.cpu.Engine()
+	eng.Rearm(&res.timer, eng.Now().Add(timeout), func() {
 		if al.pending[ip] != res {
 			return // resolved meanwhile
 		}

@@ -35,7 +35,7 @@ type reasmEntry struct {
 	bytes    int // buffered payload bytes across pieces
 	gotLast  bool
 	totalLen int
-	timer    *sim.Event
+	timer    sim.Event // owner-held expiry
 }
 
 // createReasmStage builds the IP stage of the reassembly path.
@@ -86,7 +86,8 @@ func (p *Impl) acceptFragment(m *msg.Msg) {
 	if e == nil {
 		e = &reasmEntry{}
 		p.reasm[key] = e
-		e.timer = p.cpu.Engine().After(p.ReasmTimeout, func() {
+		eng := p.cpu.Engine()
+		eng.Rearm(&e.timer, eng.Now().Add(p.ReasmTimeout), func() {
 			if p.reasm[key] == e {
 				delete(p.reasm, key)
 				p.stats.ReasmTimeouts++

@@ -36,7 +36,7 @@ type conn struct {
 	finSeq       uint32
 
 	rtxQ    []segment // sent, unacknowledged
-	rtxEv   *sim.Event
+	rtxEv   sim.Event // owner-held; armed while rtxQ is non-empty
 	retries int
 
 	registered bool
@@ -99,9 +99,7 @@ func (c *conn) teardown() {
 		delete(t.listen, c.lport)
 	}
 	c.registered = false
-	if c.rtxEv != nil {
-		c.rtxEv.Cancel()
-	}
+	c.rtxEv.Cancel()
 }
 
 // --- sending ---
@@ -185,22 +183,18 @@ func (c *conn) pump() {
 
 func (c *conn) armRtx() {
 	if len(c.rtxQ) == 0 {
-		if c.rtxEv != nil {
-			c.rtxEv.Cancel()
-			c.rtxEv = nil
-		}
+		c.rtxEv.Cancel()
 		return
 	}
-	if c.rtxEv != nil {
+	if c.rtxEv.Queued() {
 		return // already armed for the oldest outstanding segment
 	}
 	t := c.impl
-	c.rtxEv = t.eng.After(t.RTO, c.onRtxTimeout)
+	t.eng.Rearm(&c.rtxEv, t.eng.Now().Add(t.RTO), c.onRtxTimeout)
 }
 
 // onRtxTimeout retransmits everything outstanding (go-back-N).
 func (c *conn) onRtxTimeout() {
-	c.rtxEv = nil
 	t := c.impl
 	if len(c.rtxQ) == 0 || c.state == stClosed {
 		return
@@ -231,10 +225,7 @@ func (c *conn) reset() {
 func (c *conn) becomeClosed() {
 	c.state = stClosed
 	c.rtxQ = nil
-	if c.rtxEv != nil {
-		c.rtxEv.Cancel()
-		c.rtxEv = nil
-	}
+	c.rtxEv.Cancel()
 	c.notify(EventClosed)
 }
 
@@ -368,10 +359,7 @@ func (c *conn) connInput(h Header, m *msg.Msg) {
 				}
 			}
 			c.rtxQ = keep
-			if c.rtxEv != nil {
-				c.rtxEv.Cancel()
-				c.rtxEv = nil
-			}
+			c.rtxEv.Cancel()
 			c.armRtx()
 		}
 	}

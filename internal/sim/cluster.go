@@ -192,7 +192,7 @@ func (c *Cluster) drain() {
 		return a.seq < b.seq
 	})
 	for i := range msgs {
-		msgs[i].dst.Schedule(msgs[i].when, msgs[i].fn)
+		msgs[i].dst.At(msgs[i].when, msgs[i].fn)
 	}
 }
 

@@ -221,8 +221,8 @@ func benchCluster(b *testing.B, shards int) {
 		e := c.Shard(s)
 		for i := 0; i < 64; i++ {
 			var fn func()
-			fn = func() { e.Schedule(e.Now().Add(10*time.Microsecond), fn) }
-			e.Schedule(e.Now().Add(10*time.Microsecond), fn)
+			fn = func() { e.At(e.Now().Add(10*time.Microsecond), fn) }
+			e.At(e.Now().Add(10*time.Microsecond), fn)
 		}
 	}
 	b.ReportAllocs()

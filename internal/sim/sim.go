@@ -36,24 +36,22 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Never is a sentinel meaning "no deadline"; it sorts after every real time.
 const Never Time = 1<<63 - 1
 
-// Event is a scheduled callback. Three ownership rules cover every event in
+// Event is a scheduled callback. Two ownership rules cover every event in
 // the tree:
 //
-//   - At/After return a one-shot event. The caller may hold the handle (to
-//     Cancel it, or to read When); the engine never recycles it.
+//   - At/After schedule a fire-and-forget event and return no handle: nothing
+//     can refer to the entry once it fires, so the engine recycles it.
 //   - Rearm schedules an event the caller owns, typically a struct field held
 //     by value for the owner's whole life (a scheduler's completion, a
 //     retransmission timer). A queued event moves in place; the zero Event is
-//     ready to use.
-//   - Schedule returns no handle, so the engine recycles the entry the moment
-//     it fires.
+//     ready to use. Only an owner-held event can be canceled or read.
 //
-// Cancel is eager under all three: the entry leaves the queue at once.
+// Cancel is eager: the entry leaves the queue at once.
 type Event struct {
 	fn     func()
 	eng    *Engine
 	pos    int32 // 1-based queue slot; 0 = not queued
-	pooled bool  // scheduled without a handle: back to the free list on firing
+	pooled bool  // scheduled by At: back to the free list on firing
 }
 
 // When reports the virtual time at which the event will fire, or Never if it
@@ -88,7 +86,7 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 	ran     uint64   // events executed, for wall-clock rate accounting
-	free    []*Event // fired Schedule entries awaiting reuse
+	free    []*Event // fired At entries awaiting reuse
 	locals  map[any]any
 
 	// Set when the engine is one shard of a Cluster: the shard may then only
@@ -145,22 +143,28 @@ func (e *Engine) DeriveRand(id int64) *rand.Rand {
 
 // At schedules fn to run at virtual time t. Scheduling in the past (or at
 // the present) runs the event at the current time, after already-pending
-// events for that time.
+// events for that time. The event cannot be canceled or moved, which is what
+// lets the engine reuse its entry as soon as it fires; an event its owner must
+// cancel is an owner-held one (Rearm).
 //
 //scout:assert a nil event func would crash the loop later with the cause lost; fail at the scheduling site
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: At with nil func")
 	}
-	ev := &Event{fn: fn, eng: e}
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{eng: e, pooled: true}
+	}
+	ev.fn = fn
 	e.enqueue(ev, t)
-	return ev
 }
 
 // After schedules fn to run d from now. Negative d behaves like d == 0.
-func (e *Engine) After(d time.Duration, fn func()) *Event {
-	return e.At(e.now.Add(d), fn)
-}
+func (e *Engine) After(d time.Duration, fn func()) { e.At(e.now.Add(d), fn) }
 
 // Rearm schedules the caller-owned event ev to run fn at t. An event still
 // queued moves there in place; either way it takes a fresh place in the FIFO
@@ -179,26 +183,6 @@ func (e *Engine) Rearm(ev *Event, t Time, fn func()) {
 		return
 	}
 	e.place(int(ev.pos)-1, e.stamp(ev, t))
-}
-
-// Schedule runs fn at t like At but returns no handle: the event cannot be
-// canceled or moved, which is what lets the engine reuse its entry as soon
-// as it fires. It is the form for fire-and-forget events on a hot path.
-//
-//scout:assert a nil event func would crash the loop later with the cause lost; fail at the scheduling site
-func (e *Engine) Schedule(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: Schedule with nil func")
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{eng: e, pooled: true}
-	}
-	ev.fn = fn
-	e.enqueue(ev, t)
 }
 
 // Pending reports the number of events queued.
@@ -321,7 +305,7 @@ func (e *Engine) step() bool {
 	e.ran++
 	ev.fn()
 	if ev.pooled {
-		// No handle escaped, so nothing can refer to the entry any more.
+		// At returned no handle, so nothing can refer to the entry any more.
 		ev.fn = nil
 		e.free = append(e.free, ev)
 	}

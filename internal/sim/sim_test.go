@@ -60,7 +60,8 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := New(1)
 	fired := false
-	ev := e.After(time.Second, func() { fired = true })
+	var ev Event
+	e.Rearm(&ev, Time(time.Second), func() { fired = true })
 	ev.Cancel()
 	e.Run()
 	if fired {
@@ -71,7 +72,8 @@ func TestCancel(t *testing.T) {
 func TestCancelFromEarlierEvent(t *testing.T) {
 	e := New(1)
 	fired := false
-	ev := e.After(2*time.Second, func() { fired = true })
+	var ev Event
+	e.Rearm(&ev, Time(2*time.Second), func() { fired = true })
 	e.After(1*time.Second, func() { ev.Cancel() })
 	e.Run()
 	if fired {
@@ -256,9 +258,9 @@ func TestPropertyNestedScheduling(t *testing.T) {
 
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := New(1)
-	var evs []*Event
-	for i := 0; i < 10; i++ {
-		evs = append(evs, e.After(time.Duration(i+1)*time.Millisecond, func() {}))
+	evs := make([]Event, 10)
+	for i := range evs {
+		e.Rearm(&evs[i], Time(time.Duration(i+1)*time.Millisecond), func() {})
 	}
 	if got := e.Pending(); got != 10 {
 		t.Fatalf("Pending = %d, want 10", got)
@@ -282,12 +284,12 @@ func TestPendingExcludesCanceled(t *testing.T) {
 	}
 }
 
-func TestCancelStormCompacts(t *testing.T) {
+func TestCancelStormLeavesOnlyLive(t *testing.T) {
 	e := New(1)
 	const n = 1000
-	var evs []*Event
-	for i := 0; i < n; i++ {
-		evs = append(evs, e.After(time.Duration(i+1)*time.Millisecond, func() {}))
+	evs := make([]Event, n)
+	for i := range evs {
+		e.Rearm(&evs[i], Time(time.Duration(i+1)*time.Millisecond), func() {})
 	}
 	for i := 0; i < n; i++ {
 		if i%4 != 0 {
@@ -313,7 +315,8 @@ func TestCancelStormCompacts(t *testing.T) {
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := New(1)
-	ev := e.After(time.Millisecond, func() {})
+	var ev Event
+	e.Rearm(&ev, Time(time.Millisecond), func() {})
 	e.Run()
 	e.After(time.Millisecond, func() {})
 	ev.Cancel()
@@ -345,13 +348,13 @@ func TestTickerReusesEvent(t *testing.T) {
 }
 
 // timerRig drives nTimers owner-held timers plus fire-and-forget events on
-// one engine and logs what fires. The reference rig moves a timer the way the
-// tree did before Rearm existed — Cancel the old handle, At a new one — and
-// posts one-shots through At; the in-place rig uses Rearm and Schedule.
+// one engine and logs what fires. The reference rig moves a timer by
+// canceling its event and arming a fresh one; the in-place rig re-arms one
+// event per timer. Both post one-shots through At.
 type timerRig struct {
 	e       *Engine
 	inPlace bool
-	handles []*Event // reference: latest At handle per timer
+	handles []*Event // reference: latest fresh event per timer
 	evs     []Event  // in place: the owner-held events
 	fns     []func()
 	log     []firing
@@ -387,7 +390,8 @@ func (r *timerRig) arm(id int, d time.Duration) {
 	if h := r.handles[id]; h != nil {
 		h.Cancel()
 	}
-	r.handles[id] = r.e.At(t, r.fns[id])
+	r.handles[id] = new(Event)
+	r.e.Rearm(r.handles[id], t, r.fns[id])
 }
 
 func (r *timerRig) cancel(id int) {
@@ -399,18 +403,13 @@ func (r *timerRig) cancel(id int) {
 }
 
 func (r *timerRig) oneShot(tag int, d time.Duration) {
-	fn := func() { r.log = append(r.log, firing{r.e.Now(), tag}) }
-	if r.inPlace {
-		r.e.Schedule(r.e.Now().Add(d), fn)
-	} else {
-		r.e.At(r.e.Now().Add(d), fn)
-	}
+	r.e.At(r.e.Now().Add(d), func() { r.log = append(r.log, firing{r.e.Now(), tag}) })
 }
 
 // TestPropertyRearmMatchesCancelAt is the equivalence the whole tree leans
-// on: re-arming in place and scheduling without a handle fire the same
-// (time, id) sequence as Cancel+At and At, simultaneous events included, and
-// agree on Pending after every operation.
+// on: re-arming in place fires the same (time, id) sequence as canceling and
+// arming a fresh event, among recycled one-shots and simultaneous events,
+// and agrees on Pending after every operation.
 func TestPropertyRearmMatchesCancelAt(t *testing.T) {
 	const nTimers = 12
 	for seed := int64(1); seed <= 20; seed++ {
@@ -476,17 +475,18 @@ func TestRearmMovesQueuedEvent(t *testing.T) {
 	new(Event).Cancel()
 }
 
-func TestScheduleRecyclesEntries(t *testing.T) {
+func TestAtRecyclesEntries(t *testing.T) {
 	e := New(1)
 	n := 0
 	var fn func()
 	fn = func() {
 		if n++; n < 100 {
-			e.Schedule(e.Now().Add(time.Microsecond), fn)
+			e.At(e.Now().Add(time.Microsecond), fn)
 		}
 	}
-	e.Schedule(0, fn)
-	held := e.At(Time(time.Second), func() {}) // a held handle is never recycled
+	e.At(0, fn)
+	var held Event // an owner-held event is never recycled
+	e.Rearm(&held, Time(time.Second), func() {})
 	e.Run()
 	if n != 100 {
 		t.Fatalf("chain fired %d times, want 100", n)
@@ -497,18 +497,18 @@ func TestScheduleRecyclesEntries(t *testing.T) {
 		t.Fatalf("free list holds %d entries after a 100-event chain, want the 2 it alternated between", len(e.free))
 	}
 	for _, ev := range e.free {
-		if ev == held {
-			t.Fatal("an At event reached the free list")
+		if ev == &held {
+			t.Fatal("an owner-held event reached the free list")
 		}
 	}
 }
 
-// The three steady-state forms of the hot path — re-arm an owner-held event,
-// schedule without a handle, run an event — allocate nothing.
+// The steady-state forms of the hot path — re-arm an owner-held event,
+// schedule a one-shot with At or After, run an event — allocate nothing.
 func TestHotPathZeroAlloc(t *testing.T) {
 	e := New(1)
 	for i := 0; i < 64; i++ { // size the queue and the free list
-		e.Schedule(Time(i), func() {})
+		e.At(Time(i), func() {})
 	}
 	e.Run()
 	var ev Event
@@ -520,11 +520,17 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		t.Fatalf("Rearm allocates %.1f objects per call pair, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		e.Schedule(e.Now().Add(time.Microsecond), fn)
+		e.At(e.Now().Add(time.Microsecond), fn)
 		e.Step()
 		e.Step()
 	}); allocs > 0 {
-		t.Fatalf("Schedule+Step allocates %.1f objects, want 0", allocs)
+		t.Fatalf("At+Step allocates %.1f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.After(time.Microsecond, fn)
+		e.Step()
+	}); allocs > 0 {
+		t.Fatalf("After+Step allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -556,9 +562,15 @@ func TestRunUntilStopKeepsClock(t *testing.T) {
 	}
 }
 
+// BenchmarkScheduleAndRun is one fire-and-forget event's round trip: After,
+// then Step. The first round trip, outside the timer, sizes the queue and
+// the free list, so every measured one reuses the entry and allocates nothing.
 func BenchmarkScheduleAndRun(b *testing.B) {
 	e := New(1)
+	e.After(time.Microsecond, func() {})
+	e.Step()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.After(time.Microsecond, func() {})
 		e.Step()

@@ -102,7 +102,9 @@ func (m *Manager) Failed() int64 { return m.failed }
 // through the path's overload plumbing as OverloadLinkDown (so it is
 // counted and observable like every other pressure signal), and the
 // manager's handler performs the migration. Any previously installed
-// OnOverload handler keeps receiving the other signal kinds.
+// OnOverload handler keeps receiving the other signal kinds, and any earlier
+// OnLinkDown handler on From still runs, so several paths armed on one device
+// all migrate when its link dies.
 func (m *Manager) Arm(pl Plan) error {
 	if pl.Path == nil || pl.From == nil || pl.To == nil {
 		return errors.New("splice: plan needs Path, From and To")
@@ -121,7 +123,11 @@ func (m *Manager) Arm(pl Plan) error {
 			prev(p, kind, amount)
 		}
 	}
+	prevDown := pl.From.OnLinkDown
 	pl.From.OnLinkDown = func() {
+		if prevDown != nil {
+			prevDown()
+		}
 		p.NotifyOverload(core.OverloadLinkDown, pl.Silence)
 	}
 	if pl.Silence > 0 {

@@ -251,3 +251,43 @@ func TestILPSurvivesMigration(t *testing.T) {
 		t.Errorf("UDP charges %v per traversal after the migration, %v before: the rebuilt stage verifies checksums again", after, before)
 	}
 }
+
+// TestTwoPlansOnOneNICBothMigrate: two paths ride NIC 0, each armed with its
+// own plan and silence window. Arming twice leaves one silence check pending,
+// not two, and the device's one link-down verdict migrates both paths.
+func TestTwoPlansOnOneNICBothMigrate(t *testing.T) {
+	r := newRig(t, nil)
+	p2, _, err := r.k.CreateVideoPath(&appliance.VideoAttrs{
+		Source: inet.Participants{RemoteAddr: srcAddr, RemotePort: 7001},
+		FPS:    2000, CostModel: true, QueueLen: 32, Sched: "rr", Priority: 2,
+		Reliable: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := r.k.NewMigrator()
+	pending := r.eng.Pending()
+	for _, p := range []*core.Path{r.p, p2} {
+		if err := m.Arm(splice.Plan{
+			Path: p, From: r.k.Devs[0], To: r.k.Devs[1], ToLink: 1, Silence: 50 * time.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.eng.Pending() - pending; n != 1 {
+		t.Fatalf("two plans on NIC 0 queued %d silence checks, want 1", n)
+	}
+	const killAt = sim.Time(100 * time.Millisecond)
+	r.eng.At(killAt, r.k.Devs[0].Link().SetDown)
+	r.eng.RunUntil(sim.Time(300 * time.Millisecond))
+	var pids []int64
+	for _, mg := range m.Migrations() {
+		if mg.At < killAt {
+			t.Errorf("path %d migrated at %v, before the link died", mg.PID, mg.At)
+		}
+		pids = append(pids, mg.PID)
+	}
+	if want := fmt.Sprint([]int64{r.p.PID, p2.PID}); fmt.Sprint(pids) != want {
+		t.Fatalf("migrated paths %v, want %s", pids, want)
+	}
+}
